@@ -106,11 +106,7 @@ def leaf_pmpte_get(pmpte: int, page_index: int) -> Permission:
 
 def leaf_pmpte_uniform(perm: Permission) -> int:
     """A leaf pmpte granting *perm* to all 16 pages."""
-    nibble = perm.bits
-    value = 0
-    for i in range(PAGES_PER_LEAF_PTE):
-        value |= nibble << (i * 4)
-    return value
+    return perm.bits * 0x1111_1111_1111_1111
 
 
 def split_offset(offset: int) -> Tuple[int, int, int]:
@@ -255,9 +251,7 @@ class PMPTable:
             if not create:
                 return None
             leaf = self._new_table_page()
-            uniform = leaf_pmpte_uniform(root_pmpte_perm(root))
-            for i in range(ENTRIES_PER_TABLE):
-                self.memory.write64(leaf + i * 8, uniform)
+            self.memory.fill(leaf, PAGE_SIZE, leaf_pmpte_uniform(root_pmpte_perm(root)))
             self.entry_writes += ENTRIES_PER_TABLE
             self._write(root_addr, root_pmpte_pointer(leaf))
             return leaf
@@ -289,6 +283,10 @@ class PMPTable:
         page-granular leaf tables, as a system whose domains interleave at
         page granularity would have) and whole-leaf-pmpte writes for 64 KiB
         aligned spans; falls back to per-page nibble updates at the edges.
+        Each run of whole leaf pmptes inside one leaf table (or the rest of
+        the range, for a flat table) is stored with one memory fill, but
+        still counts one write per pmpte: the return value and
+        ``entry_writes`` are what the monitor charges.
         """
         if base % PAGE_SIZE or size % PAGE_SIZE:
             raise ConfigurationError("set_range arguments must be page aligned")
@@ -322,6 +320,7 @@ class PMPTable:
                 addr += LEAF_TABLE_SPAN
                 continue
             if offset % LEAF_PTE_SPAN == 0 and addr + LEAF_PTE_SPAN <= end:
+                count = (end - addr) // LEAF_PTE_SPAN
                 if self.mode == MODE_FLAT:
                     pte_addr = self.root_pa + (offset // LEAF_PTE_SPAN) * 8
                 else:
@@ -329,8 +328,10 @@ class PMPTable:
                     assert leaf is not None
                     _o1, off0, _pi = split_offset(offset)
                     pte_addr = leaf + off0 * 8
-                self._write(pte_addr, leaf_pmpte_uniform(perm))
-                addr += LEAF_PTE_SPAN
+                    count = min(count, ENTRIES_PER_TABLE - off0)
+                self.memory.fill(pte_addr, count * 8, leaf_pmpte_uniform(perm))
+                self.entry_writes += count
+                addr += count * LEAF_PTE_SPAN
                 continue
             self.set_page_perm(addr, perm)
             addr += PAGE_SIZE

@@ -60,10 +60,14 @@ class PhysicalMemory:
         self._words[paddr] = value & 0xFFFF_FFFF_FFFF_FFFF
 
     def fill(self, paddr: int, length: int, value64: int = 0) -> None:
-        """Set every word in ``[paddr, paddr+length)`` to *value64*."""
-        self._check(paddr, WORD_BYTES)
-        if length % WORD_BYTES != 0:
-            raise AlignmentError(f"fill length {length} not word-aligned")
+        """Set every word in ``[paddr, paddr+length)`` to *value64*.
+
+        The whole range is validated before any word is written.
+        """
+        if paddr % WORD_BYTES or length % WORD_BYTES:
+            raise AlignmentError(f"fill [{paddr:#x},+{length:#x}) not word-aligned")
+        if not self.region.contains(paddr, length):
+            raise MemoryError_(f"fill [{paddr:#x},+{length:#x}) outside DRAM {self.region}")
         if value64 == 0:
             for addr in range(paddr, paddr + length, WORD_BYTES):
                 self._words.pop(addr, None)

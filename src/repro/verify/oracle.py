@@ -7,9 +7,9 @@ structures they check:
 
 * :class:`ShadowPermissionOracle` — a flat page → :class:`Permission` map.
 * :class:`TableWriteModel` — replays :meth:`PMPTable.set_range`'s chunking
-  as a per-slot state machine (invalid / huge / leaf) to predict the exact
-  number of 64-bit pmpte writes and the exact table-page footprint without
-  ever reading the real table.
+  one pmpte at a time as a per-slot state machine (invalid / huge / leaf) to
+  predict the exact number of 64-bit pmpte writes and the exact table-page
+  footprint without ever reading the real table.
 * :class:`MonitorOracle` — a :class:`~repro.tee.monitor.SecureMonitor`
   observer that keeps one oracle view and one write model per domain and
   flags any divergence in ``entry_writes`` deltas.
@@ -109,7 +109,7 @@ class TableWriteModel:
         self._slots[slot] = "leaf"
         return writes
 
-    # -- prediction (mirrors PMPTable.set_range chunking exactly) ------------
+    # -- prediction (mirrors PMPTable.set_range's write accounting) ---------
 
     def set_range(self, base: int, size: int, perm: Permission, huge_ok: bool = True) -> int:
         """Predict the pmpte writes of the equivalent real ``set_range``."""

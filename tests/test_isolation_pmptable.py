@@ -30,6 +30,7 @@ from repro.isolation.pmptable import (
 )
 from repro.mem.allocator import FrameAllocator
 from repro.mem.physical import PhysicalMemory
+from repro.verify.oracle import ShadowPermissionOracle, TableWriteModel
 
 BASE = 0x8000_0000
 
@@ -225,3 +226,77 @@ class TestPMPTable:
         pa = region.base + page_index * PAGE_SIZE
         table.set_page_perm(pa, perm)
         assert table.lookup(pa).perm == perm
+
+
+# Offsets into the 96 MiB fixture region, whose leaf-table boundaries fall at
+# 32 and 64 MiB.  Each case is (ops applied to both tables with set_range,
+# ops applied with set_range to one table and page by page to its twin).
+_K = LEAF_PTE_SPAN
+_T = LEAF_TABLE_SPAN
+_P = PAGE_SIZE
+RUN_CASES = {
+    "mid-pmpte-start-and-end": ([], [(_K + 3 * _P, 5 * _K + 7 * _P, Permission.rw(), True)]),
+    "end-on-leaf-table-boundary": ([], [(_T - 7 * _K - 2 * _P, 7 * _K + 2 * _P, Permission.rwx(), True)]),
+    "cross-one-boundary": ([], [(_T - 3 * _K - _P, 6 * _K + 2 * _P, Permission.rx(), False)]),
+    "cross-two-boundaries": ([], [(_T - 2 * _K - 5 * _P, _T + 4 * _K + 9 * _P, Permission.rw(), False)]),
+    "shatter-huge-root": (
+        [(_T, _T, Permission.rw(), True)],
+        [(_T + 5 * _K + _P, 9 * _K, Permission.rx(), True)],
+    ),
+    "none-run-over-leaves": (
+        [(0, 2 * _T, Permission.rwx(), False)],
+        [(_T - 4 * _K - 3 * _P, 8 * _K + 6 * _P, Permission.none(), False)],
+    ),
+    "none-run-onto-huge-root": (
+        [(0, _T, Permission.rw(), True)],
+        [(3 * _P, 20 * _K, Permission.none(), True)],
+    ),
+    "none-run-on-empty-table": ([], [(_T - _K, 2 * _K, Permission.none(), False)]),
+}
+
+
+def _table_words(table):
+    return {
+        page: [table.memory.read64(page + i * 8) for i in range(ENTRIES_PER_TABLE)]
+        for page in table.table_pages
+    }
+
+
+class TestRunBoundaries:
+    """set_range's leaf-run writes against a page-by-page twin table."""
+
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    @pytest.mark.parametrize(
+        "mode", [MODE_2LEVEL, MODE_3LEVEL, MODE_FLAT], ids=["2level", "3level", "flat"]
+    )
+    def test_set_range_matches_per_page_twin(self, mode, case):
+        region = MemRegion(BASE + 32 * MIB, 96 * MIB)
+
+        def fresh():
+            mem = PhysicalMemory(128 * MIB, base=BASE)
+            return PMPTable(mem, FrameAllocator(MemRegion(BASE, 32 * MIB)), region, mode=mode)
+
+        table, twin = fresh(), fresh()
+        model = TableWriteModel(region, mode)
+        shadow = ShadowPermissionOracle(region)  # catches faults both tables share
+        setup, ops = RUN_CASES[case]
+        for offset, size, perm, huge_ok in setup:
+            base = region.base + offset
+            expected = model.set_range(base, size, perm, huge_ok)
+            assert table.set_range(base, size, perm, huge_ok) == expected
+            twin.set_range(base, size, perm, huge_ok)
+            shadow.set_range(base, size, perm)
+        for offset, size, perm, huge_ok in ops:
+            base = region.base + offset
+            expected = model.set_range(base, size, perm, huge_ok)
+            assert table.set_range(base, size, perm, huge_ok) == expected
+            for pa in range(base, base + size, PAGE_SIZE):
+                twin.set_page_perm(pa, perm)
+            shadow.set_range(base, size, perm)
+            lo = max(base - LEAF_PTE_SPAN, region.base)
+            hi = min(base + size + LEAF_PTE_SPAN, region.end)
+            for pa in range(lo, hi, PAGE_SIZE):
+                got = table.lookup(pa).perm
+                assert got == twin.lookup(pa).perm, hex(pa)
+                assert (got or Permission.none()) == shadow.perm_at(pa), hex(pa)
+        assert _table_words(table) == _table_words(twin)

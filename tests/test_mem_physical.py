@@ -56,6 +56,16 @@ class TestPhysicalMemory:
         mem.fill(BASE, 64, 0xAA)
         assert all(mem.read64(BASE + i) == 0xAA for i in range(0, 64, 8))
 
+    @pytest.mark.parametrize("value", [0, 0xAA])
+    def test_fill_overrun_rejected_before_writing(self, value):
+        mem = PhysicalMemory(1 * MIB, base=BASE)
+        last = BASE + 1 * MIB - 8
+        mem.write64(last, 5)
+        with pytest.raises(MemoryError_):
+            mem.fill(last, 16, value)  # second word lies past the end of DRAM
+        assert mem.read64(last) == 5
+        assert mem.touched_words() == 1
+
     def test_bad_size_rejected(self):
         with pytest.raises(MemoryError_):
             PhysicalMemory(0)
