@@ -11,12 +11,7 @@ dominate campaign wall time and writes ``BENCH_hotpath.json``:
 * ``block_hit_pmp``   — the fused block path over the same hot array
   (``read_run`` spans instead of scalar reads: charges N refs per call);
 * ``block_hierarchy_run`` — raw bulk hierarchy charging (``access_run``
-  line-chunked fills + MRU fusion, no TLB);
-* ``vector_hit_pmp``  — the numpy span-program evaluator over the hot
-  array (512 spans x 512 refs per machine call: the invariant-regime
-  array-kernel cost to compare against ``block_hit_pmp``);
-* ``vector_span_program`` — many short spans per program (2048 x 16 refs),
-  weighting the per-span decompose/mask cost over the per-ref cost.
+  line-chunked fills + MRU fusion, no TLB).
 
 Each scenario runs ``repeats`` times and keeps the fastest pass (robust to
 scheduler noise).  ``--check reference.json`` gates against a checked-in
@@ -40,7 +35,6 @@ import time
 from typing import Callable, Dict, Tuple
 
 from repro.common.types import PAGE_SIZE, AccessType, PrivilegeMode
-from repro.engine import SpanProgram
 from repro.soc.system import System
 from repro.virt.nested import VirtualMachine
 from repro.workloads.harness import ArrayMap
@@ -170,64 +164,6 @@ def scenario_block_hierarchy_run() -> Callable[[int], int]:
     return loop
 
 
-def scenario_vector_hit(checker_kind: str) -> Callable[[int], int]:
-    """Numpy span programs over the hot array: 512 spans x 512 refs per call.
-
-    One ``access_program`` call prices 262144 references through the vector
-    evaluator's array kernels — compare against ``block_hit_pmp`` for the
-    vector-over-block speedup on the invariant regime.
-    """
-    system = System(machine="rocket", checker_kind=checker_kind, mem_mib=64)
-    arrays = ArrayMap(system)
-    arrays.add("hot", 512)
-    machine = system.machine
-    page_table, asid = arrays.space.page_table, arrays.space.asid
-    base = arrays.va("hot", 0)
-    prog = SpanProgram()
-    for _ in range(512):
-        prog.run(base, 8, 512, READ)
-    refs = len(prog)
-    access_program = machine.access_program
-
-    def loop(iterations: int) -> int:
-        calls = max(1, iterations // refs)
-        for _ in range(calls):
-            access_program(page_table, prog, U, asid)
-        return calls * refs
-
-    loop(refs)  # warm TLB, caches and inlined permissions
-    return loop
-
-
-def scenario_vector_span_program() -> Callable[[int], int]:
-    """Span-heavy programs: 2048 short spans (16 refs each) per machine call.
-
-    Same invariant regime as ``vector_hit_pmp`` but dominated by per-span
-    work (decompose + membership), the cost that bounds workloads emitting
-    many small runs (redis LRANGE, GAP vertex scans).
-    """
-    system = System(machine="rocket", checker_kind="pmp", mem_mib=64)
-    arrays = ArrayMap(system)
-    arrays.add("hot", 512)
-    machine = system.machine
-    page_table, asid = arrays.space.page_table, arrays.space.asid
-    base = arrays.va("hot", 0)
-    prog = SpanProgram()
-    for s in range(2048):
-        prog.run(base + (s % 32) * 128, 8, 16, READ if s % 2 else AccessType.WRITE)
-    refs = len(prog)
-    access_program = machine.access_program
-
-    def loop(iterations: int) -> int:
-        calls = max(1, iterations // refs)
-        for _ in range(calls):
-            access_program(page_table, prog, U, asid)
-        return calls * refs
-
-    loop(refs)
-    return loop
-
-
 def _calibration_loop(iterations: int) -> int:
     """Fixed pure-Python work used to normalise for machine speed.
 
@@ -251,8 +187,6 @@ SCENARIOS: Dict[str, Tuple[Callable[[], Callable[[int], int]], int]] = {
     "nested_virt": (lambda: scenario_nested_virt(), 60_000),
     "block_hit_pmp": (lambda: scenario_block_hit("pmp"), 400_000),
     "block_hierarchy_run": (lambda: scenario_block_hierarchy_run(), 400_000),
-    "vector_hit_pmp": (lambda: scenario_vector_hit("pmp"), 2_000_000),
-    "vector_span_program": (lambda: scenario_vector_span_program(), 800_000),
 }
 
 

@@ -4,9 +4,6 @@
   stages shared by the native, traced and virtualized access paths.
 * :class:`AccessBlock` / :func:`set_block_mode` — run-length-encoded access
   spans for the fused bulk path (state-identical to scalar execution).
-* :class:`SpanProgram` / :func:`set_vector_mode` — columnar span sequences
-  evaluated by numpy array kernels in the invariant regime (optional
-  ``repro[fast]`` extra; state-identical, block fallback without numpy).
 * :class:`EngineHook` and friends — pluggable observability over the
   reference stream (zero-cost no-op default).
 * :class:`MetricsSink` — machine-readable per-figure metrics export.
@@ -21,25 +18,20 @@ from .core import (
 )
 from .hooks import AccessStatsHook, EngineHook, HistogramHook, RecordingHook, RefKind, ReferenceEvent
 from .metrics import MetricsSink
-from .vector import HAVE_NUMPY, SpanProgram, set_vector_mode, vector_mode_enabled
 
 __all__ = [
     "AccessBlock",
     "AccessStatsHook",
     "Account",
     "EngineHook",
-    "HAVE_NUMPY",
     "HistogramHook",
     "MetricsSink",
     "RecordingHook",
     "RefKind",
     "ReferenceEngine",
     "ReferenceEvent",
-    "SpanProgram",
     "block_mode_enabled",
     "register_default_hook_factory",
     "set_block_mode",
-    "set_vector_mode",
     "unregister_default_hook_factory",
-    "vector_mode_enabled",
 ]

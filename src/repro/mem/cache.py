@@ -7,18 +7,19 @@ The cache tracks which line addresses are resident (tags only — data lives in
 Replacement is true LRU by default; ``random`` is available for ablations.
 
 Hot-path engineering (see DESIGN.md "Hot path engineering"): each set is a
-flat Python list of line addresses ordered MRU-first — for the small
-associativities real caches use (2–16 ways), a C-level ``list.index`` scan
-plus a move-to-front beats an ``OrderedDict`` probe, and the fused
-``lookup_fill`` touches the set exactly once per reference.  Hit/miss/
-eviction counts accumulate in plain instance ints and are published into the
-:class:`~repro.common.stats.StatGroup` only when somebody reads it.
+flat Python list of line addresses ordered MRU-first, allocated on the
+set's first fill — for the small associativities real caches use (2–16
+ways), a C-level ``list.index`` scan plus a move-to-front beats an
+``OrderedDict`` probe, and the fused ``lookup_fill`` touches the set exactly
+once per reference.  Hit/miss/eviction counts accumulate in plain instance
+ints and are published into the :class:`~repro.common.stats.StatGroup` only
+when somebody reads it.
 """
 
 from __future__ import annotations
 
 import random as _random
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..common.errors import ConfigurationError
 from ..common.params import CacheParams
@@ -61,19 +62,17 @@ class Cache:
         self._ways = params.ways
         # One flat list per set: line addresses, most recently used FIRST.
         # (Index 0 is the MRU line, the last element is the LRU victim.)
-        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
+        # Sets are allocated lazily: an unfilled set is the shared empty
+        # tuple until its first fill stores a one-line list.  A 4 MiB LLC
+        # alone has 8,192 sets, and one list per set would hand the garbage
+        # collector thousands of objects to track for every System built.
+        self._sets: List[Sequence[int]] = [()] * self.num_sets
         # Deferred statistics: the timed path adds to these plain ints; they
         # are published into ``stats`` by the sync callback on any read.
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self.stats = StatGroup(params.name, sync=self._publish_stats)
-        # Bumped on every mutation that can change which line is MRU in some
-        # set (fills, promotions, evictions, invalidations, flushes).  The
-        # vector evaluator keys its MRU snapshots on this; MRU re-touches
-        # (``cset[0]`` hits, ``mru_hits``) leave it alone so the dominant
-        # hit path stays a single compare-and-add.
-        self.generation = 0
 
     def _publish_stats(self) -> None:
         """Sync point: fold the pending hot-path deltas into the StatGroup."""
@@ -117,26 +116,28 @@ class Cache:
         """
         shifted = paddr >> self._line_shift
         line = shifted << self._line_shift
-        cset = self._sets[shifted & self._set_mask]
-        if cset:
-            if cset[0] == line:  # MRU hit: the common case costs one compare
-                self._hits += 1
-                return True
-            try:
-                index = cset.index(line, 1)
-            except ValueError:
-                pass
-            else:
-                del cset[index]
-                cset.insert(0, line)
-                self._hits += 1
-                self.generation += 1
-                return True
+        set_index = shifted & self._set_mask
+        cset = self._sets[set_index]
+        if not cset:
+            self._misses += 1
+            self._sets[set_index] = [line]
+            return False
+        if cset[0] == line:  # MRU hit: the common case costs one compare
+            self._hits += 1
+            return True
+        try:
+            index = cset.index(line, 1)
+        except ValueError:
+            pass
+        else:
+            del cset[index]
+            cset.insert(0, line)
+            self._hits += 1
+            return True
         self._misses += 1
         if len(cset) >= self._ways:
             self._evict(cset)
         cset.insert(0, line)
-        self.generation += 1
         return False
 
     def mru_hits(self, count: int) -> None:
@@ -149,14 +150,6 @@ class Cache:
         by issuing the first reference of each line through ``access``.
         """
         self._hits += count
-
-    def mru_lines(self) -> List[int]:
-        """Per-set MRU line addresses (``-1`` for an empty set).
-
-        A read-only snapshot for the vector evaluator's hit mask; valid
-        while :attr:`generation` is unchanged.
-        """
-        return [cset[0] if cset else -1 for cset in self._sets]
 
     def probe(self, paddr: int, update_lru: bool = True) -> bool:
         """Return True (hit) if the line holding *paddr* is resident.
@@ -178,7 +171,6 @@ class Cache:
         if index:
             del cset[index]
             cset.insert(0, line)
-            self.generation += 1
         self._hits += 1
         return True
 
@@ -186,7 +178,11 @@ class Cache:
         """Fill the line holding *paddr*; return the evicted line address, if any."""
         shifted = paddr >> self._line_shift
         line = shifted << self._line_shift
-        cset = self._sets[shifted & self._set_mask]
+        set_index = shifted & self._set_mask
+        cset = self._sets[set_index]
+        if not cset:
+            self._sets[set_index] = [line]
+            return None
         try:
             index = cset.index(line)
         except ValueError:
@@ -194,30 +190,24 @@ class Cache:
             if len(cset) >= self._ways:
                 victim = self._evict(cset)
             cset.insert(0, line)
-            self.generation += 1
             return victim
         if index:
             del cset[index]
             cset.insert(0, line)
-            self.generation += 1
         return None
 
     def invalidate(self, paddr: int) -> bool:
         """Drop the line holding *paddr*; return True if it was resident."""
         line = self.line_addr(paddr)
         cset = self._sets[self._index(paddr)]
-        try:
-            cset.remove(line)
-        except ValueError:
+        if line not in cset:
             return False
-        self.generation += 1
+        cset.remove(line)
         return True
 
     def flush(self) -> None:
         """Empty the cache."""
-        for cset in self._sets:
-            cset.clear()
-        self.generation += 1
+        self._sets = [()] * self.num_sets
 
     def resident_lines(self) -> int:
         """Number of lines currently resident (for tests)."""

@@ -162,26 +162,6 @@ class MemoryHierarchy:
         self.l1d.mru_hits(count)
         return count * self._l1d_lat
 
-    def bulk_mru(self, data_refs: int, fetch_refs: int) -> int:
-        """Charge a batch of established MRU hits on both L1 sides at once.
-
-        The vector evaluator's residency mask has already proven that every
-        one of these references lands on the line currently at MRU in its
-        set (data side for ``data_refs``, instruction side for
-        ``fetch_refs``), so the whole batch folds into two counter adds —
-        the same state :meth:`mru_run` would leave per side.
-        """
-        total = data_refs + fetch_refs
-        self._refs += total
-        cycles = 0
-        if data_refs:
-            self.l1d.mru_hits(data_refs)
-            cycles += data_refs * self._l1d_lat
-        if fetch_refs:
-            self.l1i.mru_hits(fetch_refs)
-            cycles += fetch_refs * self._l1i_lat
-        return cycles
-
     def peek_latency(self, paddr: int, instruction: bool = False) -> int:
         """Latency ``access`` would charge, without changing any state.
 

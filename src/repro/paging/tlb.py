@@ -121,13 +121,6 @@ class TLB:
         self._l1_map = self._l1._map
         self._l1_lat = l1.hit_latency
         self._l2_lat = l2.hit_latency
-        # Bumped on every mutation that can change L1 residency or the
-        # permissions an entry carries (fill, flush, promotion, inlined-perm
-        # drop).  The vector evaluator keys its residency snapshots on this,
-        # so a snapshot is valid exactly while the generation stands still.
-        # Pure recency traffic (``move_to_end``) does not bump it: snapshots
-        # record presence and permissions, never LRU order.
-        self.generation = 0
 
     def _publish_stats(self) -> None:
         """Sync point: fold the pending lookup outcomes into the StatGroup."""
@@ -158,7 +151,6 @@ class TLB:
         if entry is not None:
             self._s_l2_hits += 1
             self._l1.insert(key, entry)
-            self.generation += 1
             return entry, self._l1_lat + self._l2_lat
         self._s_misses += 1
         return None, self._l1_lat + self._l2_lat
@@ -186,43 +178,11 @@ class TLB:
         self._s_l1_hits += count
         return count * self._l1_lat
 
-    def charge_l1_hit_vpns(self, vpns, asid: int, refs: int) -> int:
-        """Bulk form of :meth:`charge_l1_hits` over a sequence of VPNs.
-
-        Replays the LRU recency trail of *refs* L1 hits whose per-page
-        grouping is *vpns* (one ``move_to_end`` per group, in group order —
-        ``move_to_end`` is idempotent within a group) and accounts all
-        *refs* hits in one add.  Only valid when every ``(asid, vpn)`` key
-        is L1-resident, which the vector evaluator's residency mask has
-        just established.
-        """
-        move = self._l1_map.move_to_end
-        for vpn in vpns:
-            move((asid, vpn))
-        self._s_l1_hits += refs
-        return refs * self._l1_lat
-
-    def l1_residency(self, asid: int, inlined_only: bool):
-        """Snapshot L1-resident translations for *asid* (vector-mask input).
-
-        Yields ``(vpn, entry)`` without touching LRU order or counters.
-        With ``inlined_only`` the scan skips entries whose ``checker_perm``
-        is unresolved — exactly the entries the machine's fused fast path
-        would refuse.  Valid while :attr:`generation` is unchanged.
-        """
-        for (entry_asid, vpn), entry in self._l1_map.items():
-            if entry_asid != asid:
-                continue
-            if inlined_only and entry.checker_perm is None:
-                continue
-            yield vpn, entry
-
     def fill(self, entry: TLBEntry) -> None:
         """Install a translation into both levels."""
         key = (entry.asid, entry.vpn)
         self._l1.insert(key, entry)
         self._l2.insert(key, entry)
-        self.generation += 1
 
     def flush(self, asid: Optional[int] = None) -> None:
         """Flush everything, or only entries belonging to *asid*."""
@@ -232,7 +192,6 @@ class TLB:
         else:
             self._l1.invalidate(lambda k, v: k[0] == asid)
             self._l2.invalidate(lambda k, v: k[0] == asid)
-        self.generation += 1
 
     def flush_page(self, va: int, asid: Optional[int] = None) -> None:
         """Flush the entry covering *va* (sfence.vma with an address)."""
@@ -240,7 +199,6 @@ class TLB:
         match = lambda k, v: k[1] == vpn and (asid is None or k[0] == asid)  # noqa: E731
         self._l1.invalidate(match)
         self._l2.invalidate(match)
-        self.generation += 1
 
     def drop_inlined_permissions(self) -> None:
         """Clear inlined checker permissions without dropping translations.
@@ -252,7 +210,6 @@ class TLB:
             entry.checker_perm = None
         for _key, entry in self._l2._slots.values():
             entry.checker_perm = None
-        self.generation += 1
 
     def resident_entries(self):
         """Yield every resident entry as ``(level, (asid, vpn), entry)``.

@@ -59,13 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         "parity escape hatch, at scalar-path wall time)",
     )
     parser.add_argument(
-        "--no-vector",
-        action="store_true",
-        help="disable the numpy span-program evaluator layered on block mode "
-        "(rows are byte-identical either way; falls back to the fused block "
-        "paths, and is implied when numpy is absent or --no-block is given)",
-    )
-    parser.add_argument(
         "--shard-cells",
         choices=("auto", "on", "off"),
         default="auto",
@@ -181,14 +174,13 @@ def bench_summary(manifest: RunManifest, store: ResultStore, generated_unix: Opt
         },
         # The same ratio inverted: wall nanoseconds the host spent per
         # simulated reference — the unit the hot-path benchmark gates on,
-        # so vector/block/scalar campaigns compare directly.
+        # so block and scalar campaigns compare directly.
         "cell_ns_per_ref": {
             c.task_id: round(1e9 * c.wall_s / c.telemetry.get("hierarchy.refs", 0), 1)
             for c in manifest.cells
             if c.wall_s > 0 and c.telemetry.get("hierarchy.refs")
         },
         "block_mode": manifest.block,
-        "vector_mode": manifest.vector,
         "shard_cells": manifest.shard_cells,
         # Cells that ran as sub-shard assemblies this campaign, with their
         # sub-shard counts.  Their wall_s above is the *sequential
@@ -229,7 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         progress=_progress,
         telemetry=args.telemetry,
         block=not args.no_block,
-        vector=not args.no_vector,
         shard_cells={"auto": None, "on": True, "off": False}[args.shard_cells],
     )
     if pool.effective_jobs < pool.jobs:

@@ -100,7 +100,6 @@ class RunManifest:
     effective_jobs: int = 1  # after clamping to available CPUs
     telemetry: str = "light"  # per-cell engine telemetry level
     block: bool = True  # machines took the fused block path (--no-block clears)
-    vector: bool = True  # numpy span-program evaluator enabled (--no-vector clears)
     shard_cells: bool = False  # heavy cells expanded into sub-shard tasks
     filters: List[str] = field(default_factory=list)
     resume: bool = False
@@ -148,7 +147,6 @@ class RunManifest:
             "effective_jobs": self.effective_jobs,
             "telemetry": self.telemetry,
             "block": self.block,
-            "vector": self.vector,
             "shard_cells": self.shard_cells,
             "filters": list(self.filters),
             "resume": self.resume,
@@ -174,7 +172,6 @@ class RunManifest:
             effective_jobs=int(data.get("effective_jobs", data.get("jobs", 1))),
             telemetry=str(data.get("telemetry", "light")),
             block=bool(data.get("block", True)),
-            vector=bool(data.get("vector", True)),
             shard_cells=bool(data.get("shard_cells", False)),
             filters=[str(f) for f in data.get("filters", [])],  # type: ignore[union-attr]
             resume=bool(data.get("resume", False)),

@@ -91,12 +91,7 @@ def _pool_context():
 
 
 def _run_cell(
-    spec: TaskSpec,
-    store_root: str,
-    version: str,
-    telemetry: str = "light",
-    block: bool = True,
-    vector: bool = True,
+    spec: TaskSpec, store_root: str, version: str, telemetry: str = "light", block: bool = True
 ) -> Dict[str, object]:
     """Execute one cell and persist its payload; returns the manifest facts.
 
@@ -106,7 +101,7 @@ def _run_cell(
     """
     start = time.perf_counter()
     store = ResultStore(store_root, version=version)
-    rows, stats = execute(spec, telemetry=telemetry, block=block, vector=vector)
+    rows, stats = execute(spec, telemetry=telemetry, block=block)
     payload = store.build_payload(spec, rows, stats)
     key = store.key_for(spec)
     store.put(key, payload)
@@ -122,12 +117,10 @@ def _run_cell(
     }
 
 
-def _worker_entry(
-    spec: TaskSpec, store_root: str, version: str, telemetry: str, block: bool, vector: bool, conn
-) -> None:
+def _worker_entry(spec: TaskSpec, store_root: str, version: str, telemetry: str, block: bool, conn) -> None:
     """Worker process body: run the cell, report over the pipe, exit."""
     try:
-        message = _run_cell(spec, store_root, version, telemetry, block, vector)
+        message = _run_cell(spec, store_root, version, telemetry, block)
     except BaseException:
         message = {
             "status": STATUS_ERROR,
@@ -154,7 +147,6 @@ class CampaignPool:
         progress: Optional[ProgressFn] = None,
         telemetry: str = "light",
         block: bool = True,
-        vector: bool = True,
         shard_cells: Optional[bool] = None,
     ):
         if telemetry not in TELEMETRY_LEVELS:
@@ -171,7 +163,6 @@ class CampaignPool:
         self.progress = progress
         self.telemetry = telemetry
         self.block = bool(block)
-        self.vector = bool(vector)
         # None = auto: shard heavy cells exactly when there is parallelism
         # to feed.  ``--jobs 1`` therefore stays the unsharded reference the
         # determinism gate measures sharded runs against.
@@ -251,7 +242,6 @@ class CampaignPool:
             effective_jobs=self.effective_jobs,
             telemetry=self.telemetry,
             block=self.block,
-            vector=self.vector,
             shard_cells=self.shard_cells,
             resume=resume,
             timeout_s=self.timeout_s,
@@ -405,9 +395,7 @@ class CampaignPool:
             spec, attempt = pending.popleft()
             start = time.perf_counter()
             try:
-                message = _run_cell(
-                    spec, str(self.store.root), self.store.version, self.telemetry, self.block, self.vector
-                )
+                message = _run_cell(spec, str(self.store.root), self.store.version, self.telemetry, self.block)
                 message["worker"] = "inline"
             except BaseException:
                 message = {
@@ -454,7 +442,7 @@ class CampaignPool:
         receiver, sender = context.Pipe(duplex=False)
         process = context.Process(
             target=_worker_entry,
-            args=(spec, str(self.store.root), self.store.version, self.telemetry, self.block, self.vector, sender),
+            args=(spec, str(self.store.root), self.store.version, self.telemetry, self.block, sender),
             daemon=True,
             name=f"repro-runner-{spec.task_id}",
         )

@@ -23,9 +23,7 @@ from ..engine import (
     block_mode_enabled,
     register_default_hook_factory,
     set_block_mode,
-    set_vector_mode,
     unregister_default_hook_factory,
-    vector_mode_enabled,
 )
 
 #: Per-cell engine telemetry levels, cheapest first.
@@ -182,7 +180,7 @@ class _StatsHarvester(EngineHook):
 
 
 def execute(
-    spec: TaskSpec, telemetry: str = "light", block: bool = True, vector: bool = True
+    spec: TaskSpec, telemetry: str = "light", block: bool = True
 ) -> Tuple[List[Dict[str, object]], Optional[StatGroup]]:
     """Run one cell, optionally with engine telemetry attached.
 
@@ -193,21 +191,16 @@ def execute(
 
     *block* selects the machines' execution mode for the duration of the
     cell: True (default) lets them take the fused bulk path, False pins the
-    scalar pipeline (the runner's ``--no-block`` escape hatch).  *vector*
-    does the same for the numpy span-program evaluator layered on top of
-    block mode (``--no-vector``; it is inert without block mode or numpy).
-    Rows are byte-identical in every mode — the differential suites in
-    ``tests/test_block_exec.py`` and ``tests/test_vector_exec.py`` hold
-    that line.  The previous process modes are restored on exit so inline
-    execution never leaks state.
+    scalar pipeline (the runner's ``--no-block`` escape hatch).  Rows are
+    byte-identical either way — the differential suite in
+    ``tests/test_block_exec.py`` holds that line.  The previous process
+    mode is restored on exit so inline execution never leaks state.
     """
     if telemetry not in TELEMETRY_LEVELS:
         raise ValueError(f"telemetry must be one of {TELEMETRY_LEVELS}, got {telemetry!r}")
     func = resolve(spec)
     prev_block = block_mode_enabled()
-    prev_vector = vector_mode_enabled()
     set_block_mode(bool(block))
-    set_vector_mode(bool(vector))
     try:
         if telemetry == "off":
             rows = func(**dict(spec.kwargs))
@@ -239,7 +232,6 @@ def execute(
             stats = harvester.to_stats(spec.task_id)
     finally:
         set_block_mode(prev_block)
-        set_vector_mode(prev_vector)
     if not isinstance(rows, list):
         raise TypeError(f"{spec.task_id}: {spec.func} returned {type(rows).__name__}, expected list of rows")
     return rows, stats

@@ -48,7 +48,6 @@ from ..common.stats import StatGroup
 from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, PrivilegeMode
 from ..engine import Account, RefKind, ReferenceEngine
 from ..engine.block import AccessBlock, block_mode_enabled
-from ..engine import vector as _vector
 from ..isolation.checker import IsolationChecker
 from ..isolation.factory import NullChecker
 from ..mem.hierarchy import MemoryHierarchy
@@ -107,13 +106,6 @@ class Hart:
         :meth:`access_block`.  ``None`` (the default) reads the
         process-wide setting (:func:`repro.engine.block.block_mode_enabled`);
         pass ``False`` to pin this machine to the scalar pipeline.
-    vector_mode:
-        Enable the numpy span-program evaluator behind
-        :meth:`access_program` / :meth:`access_block`.  ``None`` (the
-        default) reads the process-wide setting
-        (:func:`repro.engine.vector.vector_mode_enabled`); the latch is
-        forced off when numpy is unavailable, so programs degrade to the
-        block path.
     hart_id:
         This hart's index in its machine (0 for single-hart machines).
     llc:
@@ -130,7 +122,6 @@ class Hart:
         block_mode: Optional[bool] = None,
         hart_id: int = 0,
         llc=None,
-        vector_mode: Optional[bool] = None,
     ):
         self.params = params
         self.memory = memory
@@ -157,14 +148,6 @@ class Hart:
         # process-wide mode before building the System), plus the bulk-path
         # bindings access_run uses per chunk.
         self.block_mode = block_mode_enabled() if block_mode is None else bool(block_mode)
-        # Vector execution: same latch discipline, additionally gated on
-        # numpy being importable (the repro[fast] extra).  Programs below
-        # vector_min_refs references are cheaper on the block path than
-        # under fixed numpy dispatch overhead.
-        self.vector_mode = (
-            _vector.vector_mode_enabled() if vector_mode is None else bool(vector_mode)
-        ) and _vector.HAVE_NUMPY
-        self.vector_min_refs = _vector.MIN_VECTOR_REFS
         self._tlb_peek = self.tlb.peek_l1
         self._tlb_charge = self.tlb.charge_l1_hits
         # One pooled Account, reset per general-path access (see
@@ -557,45 +540,6 @@ class Hart:
             i += n
         return total, hits, pt_refs, checker_refs
 
-    def _vector_ok(self) -> bool:
-        """May span programs take the numpy evaluator on this hart right now?
-
-        The eligibility mirrors ``access_run``'s fused-path guard: the
-        vector evaluator only ever bulk-charges inlined L1-TLB hits, so it
-        needs block mode, TLB inlining, and no per-reference/per-access
-        hooks (those must observe references individually; block-level
-        hooks are fed from the bulk charge).
-        """
-        engine = self.engine
-        return (
-            self.vector_mode
-            and self.block_mode
-            and self.params.tlb_inlining
-            and not engine._ref_hooks
-            and not engine._access_hooks
-        )
-
-    def access_program(
-        self,
-        page_table: PageTable,
-        program,
-        priv: PrivilegeMode = PrivilegeMode.USER,
-        asid: int = 0,
-        extra_cycles: int = 0,
-    ) -> Tuple[int, int, int, int]:
-        """Charge a whole span program (or block); returns the access_run tuple.
-
-        The preferred bulk entry point for workload generators: a
-        :class:`~repro.engine.vector.SpanProgram` big enough to amortize
-        the numpy dispatch overhead is evaluated by the array kernels
-        (:func:`repro.engine.vector.evaluate_machine`), anything else —
-        small programs, vector mode off, scalar machines — degrades to
-        :meth:`access_block`, which is itself state-identical to the
-        scalar loop.  Accepts an :class:`AccessBlock` too (same ``runs``
-        surface).
-        """
-        return self.access_block(page_table, program, priv, asid, extra_cycles)
-
     def access_block(
         self,
         page_table: PageTable,
@@ -605,8 +549,6 @@ class Hart:
         extra_cycles: int = 0,
     ) -> Tuple[int, int, int, int]:
         """Charge every run in *block*; returns summed access_run tuples."""
-        if block.count >= self.vector_min_refs and self._vector_ok():
-            return _vector.evaluate_machine(self, page_table, block, priv, asid, extra_cycles)
         run = self.access_run
         core = self._access_core
         cycles = hits = pt_refs = checker_refs = 0
@@ -727,11 +669,10 @@ class Machine(Hart):
         seed: int = 0,
         block_mode: Optional[bool] = None,
         harts: int = 1,
-        vector_mode: Optional[bool] = None,
     ):
         if harts < 1:
             raise ValueError(f"a machine needs at least one hart, got {harts}")
-        super().__init__(params, memory, checker, seed=seed, block_mode=block_mode, vector_mode=vector_mode)
+        super().__init__(params, memory, checker, seed=seed, block_mode=block_mode)
         self.llc = self.hierarchy.llc
         self.harts: List[Hart] = [self]
         for i in range(1, harts):
@@ -744,7 +685,6 @@ class Machine(Hart):
                 block_mode=block_mode,
                 hart_id=i,
                 llc=self.llc,
-                vector_mode=vector_mode,
             )
             if checker is not None:
                 hart.attach_checker(

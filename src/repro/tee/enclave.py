@@ -130,19 +130,6 @@ class EnclaveRuntime:
             handle.space.page_table, va, stride, count, access, U, handle.space.asid
         )[0]
 
-    def access_program(self, handle: EnclaveHandle, program) -> int:
-        """A timed span program of enclave accesses (one machine call).
-
-        *program* is an :class:`~repro.engine.vector.SpanProgram` or
-        :class:`~repro.engine.block.AccessBlock`; large programs go through
-        the vector evaluator when enabled, byte-identical either way.
-        """
-        if not handle.alive:
-            raise MonitorError("enclave already destroyed")
-        return self.system.machine.access_program(
-            handle.space.page_table, program, U, handle.space.asid
-        )[0]
-
     def destroy(self, handle: EnclaveHandle) -> int:
         """Exit and tear down the enclave; returns cycles spent."""
         cycles = 0

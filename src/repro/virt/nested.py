@@ -29,7 +29,6 @@ from ..common.stats import StatGroup
 from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, Permission, PrivilegeMode
 from ..engine import Account, RefKind
 from ..engine.block import AccessBlock
-from ..engine import vector as _vector
 from ..mem.physical import PhysicalMemory
 from ..paging.pagetable import PageTable
 from ..paging.tlb import TLB, TLBEntry
@@ -333,30 +332,8 @@ class VirtualMachine:
             i += n
         return total
 
-    def access_program(self, program) -> int:
-        """Charge a whole guest span program (or block); returns cycles.
-
-        The virtualized counterpart of :meth:`Machine.access_program
-        <repro.soc.machine.Machine.access_program>`: a big-enough
-        :class:`~repro.engine.vector.SpanProgram` takes the numpy
-        evaluator, anything else degrades to :meth:`access_block`.
-        """
-        return self.access_block(program)
-
     def access_block(self, block: AccessBlock) -> int:
         """Charge every run in *block* through :meth:`access_run`; returns cycles."""
-        machine = self.machine
-        engine = self.engine
-        # Same eligibility as the machine path minus TLB inlining — the
-        # combined-TLB hit path checks no permissions, inlined or not.
-        if (
-            block.count >= machine.vector_min_refs
-            and machine.vector_mode
-            and machine.block_mode
-            and not engine._ref_hooks
-            and not engine._access_hooks
-        ):
-            return _vector.evaluate_vm(self, block)
         run = self.access_run
         total = 0
         for gva, stride, count, access in block.runs:

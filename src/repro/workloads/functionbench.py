@@ -19,7 +19,6 @@ from typing import Dict, Optional, Tuple
 
 from ..common.errors import WorkloadError
 from ..common.types import AccessType, PAGE_SIZE
-from ..engine.vector import SpanProgram
 from ..soc.system import System
 from ..tee.enclave import ENCLAVE_HEAP_VA, ENCLAVE_TEXT_VA, EnclaveRuntime
 from ..tee.monitor import SecureMonitor
@@ -95,24 +94,21 @@ class ServerlessNode:
             return self._invoke_enclave(profile)
         return self._invoke_host(profile)
 
-    def _run_body(self, profile: FunctionProfile, text_va: int, heap_va: int, submit, rng) -> int:
+    def _run_body(self, profile: FunctionProfile, frun, drun, rng) -> int:
         """The function body: import phase then the compute/access loop.
 
-        The whole body — the import fetch sequence (one stride-2048 run over
-        the code pages), each wrap-segment of the sequential scan, and the
-        random writes — is appended to one :class:`SpanProgram` in execution
-        order and charged by a single ``submit(program)`` machine call, so
-        the vector evaluator sees the full reference stream at once.  The
-        per-reference addresses and their order are identical to the old
-        per-call closures; compute cycles are plain arithmetic added on top.
+        ``frun(off, stride, count)`` fetches and ``drun(off, stride, count,
+        access)`` reads/writes a run of heap addresses — the block API lets
+        the import phase (one stride-2048 sequence over the code pages) and
+        each wrap-segment of the sequential scan go down in a single call,
+        with the same per-reference addresses as the old scalar closures.
         """
-        prog = SpanProgram()
         cycles = 0
         # Import: touch the code pages (cold instruction fetches).  Two
         # fetches per 4 KiB page at offsets 0 and 2048 form one arithmetic
         # sequence of stride 2048.
         if profile.import_pages:
-            prog.run(text_va, 2048, 2 * profile.import_pages, AccessType.FETCH)
+            cycles += frun(0, 2048, 2 * profile.import_pages)
         heap_bytes = profile.heap_pages * PAGE_SIZE
         cpa = profile.compute_per_access
         for _ in range(profile.body_iterations):
@@ -123,20 +119,25 @@ class ServerlessNode:
             while remaining:
                 cur = offset % heap_bytes
                 count = min(remaining, 1 + (heap_bytes - 1 - cur) // step)
-                prog.run(heap_va + cur, step, count, AccessType.READ)
+                cycles += drun(cur, step, count, AccessType.READ)
                 offset += count * step
                 remaining -= count
             cycles += seq * cpa
             for _ in range(profile.random_accesses):
-                prog.run(heap_va + rng.randrange(heap_bytes // 8) * 8, 0, 1, AccessType.WRITE)
+                cycles += drun(rng.randrange(heap_bytes // 8) * 8, 0, 1, AccessType.WRITE)
                 cycles += cpa
-        return cycles + submit(prog)
+        return cycles
 
     def _invoke_enclave(self, profile: FunctionProfile) -> FunctionResult:
         rng = random.Random(self.seed ^ stable_hash(profile.name) & 0xFFFF)
         handle = self.runtime.launch(profile.name, profile.text_pages, profile.heap_pages)
-        submit = lambda prog: self.runtime.access_program(handle, prog)  # noqa: E731
-        body = self._run_body(profile, ENCLAVE_TEXT_VA, ENCLAVE_HEAP_VA, submit, rng)
+        frun = lambda off, stride, count: self.runtime.access_run(  # noqa: E731
+            handle, ENCLAVE_TEXT_VA + off, stride, count, AccessType.FETCH
+        )
+        drun = lambda off, stride, count, access: self.runtime.access_run(  # noqa: E731
+            handle, ENCLAVE_HEAP_VA + off, stride, count, access
+        )
+        body = self._run_body(profile, frun, drun, rng)
         teardown = self.runtime.destroy(handle)
         return FunctionResult(
             profile.name,
@@ -160,10 +161,17 @@ class ServerlessNode:
         page_table = proc.space.page_table
         asid = proc.space.asid
 
-        def submit(prog):
-            return machine.access_program(page_table, prog, asid=asid)[0]
+        def frun(off, stride, count):
+            return machine.access_run(
+                page_table, USER_TEXT_VA + off, stride, count, AccessType.FETCH, asid=asid
+            )[0]
 
-        body = self._run_body(profile, USER_TEXT_VA, USER_HEAP_VA, submit, rng)
+        def drun(off, stride, count, access):
+            return machine.access_run(
+                page_table, USER_HEAP_VA + off, stride, count, access, asid=asid
+            )[0]
+
+        body = self._run_body(profile, frun, drun, rng)
         teardown = kernel.exit_process(proc)
         return FunctionResult(profile.name, self.system.checker_kind, False, launch, body, teardown)
 

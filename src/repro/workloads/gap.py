@@ -252,23 +252,16 @@ def run_kernel(
         raise WorkloadError(f"unknown GAP kernel {kernel!r}; options: {KERNELS}")
     system = System(machine=machine, checker_kind=checker_kind, mem_mib=256, seed=seed)
     workload = GAPWorkload(system, scale=scale, degree=degree, seed=seed)
-    # The kernels only consume final cycle/access totals (never per-call
-    # returns), so the whole run batches into span programs: CSR scans and
-    # per-vertex touches append to one buffer, charged in order at flush.
-    workload.arrays.begin_program()
-    try:
-        if kernel == "bfs":
-            workload.bfs()
-        elif kernel == "pr":
-            workload.pr(iterations=1)
-        elif kernel == "cc":
-            workload.cc()
-        elif kernel == "sssp":
-            workload.sssp()
-        elif kernel == "bc":
-            workload.bc(num_sources=1)
-        else:
-            workload.tc(max_vertices=min(256, workload.graph.n))
-    finally:
-        workload.arrays.end_program()
+    if kernel == "bfs":
+        workload.bfs()
+    elif kernel == "pr":
+        workload.pr(iterations=1)
+    elif kernel == "cc":
+        workload.cc()
+    elif kernel == "sssp":
+        workload.sssp()
+    elif kernel == "bc":
+        workload.bc(num_sources=1)
+    else:
+        workload.tc(max_vertices=min(256, workload.graph.n))
     return GAPResult(kernel, checker_kind, workload.arrays.cycles, workload.arrays.accesses)

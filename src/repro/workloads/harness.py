@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 from ..common.errors import WorkloadError
 from ..common.types import PAGE_SIZE, AccessType, Permission, PrivilegeMode
-from ..engine.vector import SpanProgram
+from ..engine.block import AccessBlock
 from ..mem.allocator import FrameAllocator
 from ..soc.system import AddressSpace, System
 
@@ -80,49 +80,8 @@ class ArrayMap:
         # harness lifetime.
         self._access_core = system.machine._access_core
         self._access_run = system.machine.access_run
-        self._access_program = system.machine.access_program
         self._page_table = self.space.page_table
         self._asid = self.space.asid
-        # Program buffering (off by default): between begin_program() and
-        # end_program(), element accesses append spans to a SpanProgram
-        # instead of hitting the machine one call at a time, and the whole
-        # buffer is charged in order at flush — byte-identical state, one
-        # machine call (and one vector evaluation) per thousands of spans.
-        self._program: Optional[SpanProgram] = None
-        self._program_flush = 0
-
-    def begin_program(self, flush_refs: int = 32768) -> None:
-        """Start buffering accesses into a span program.
-
-        Until :meth:`end_program`, ``read``/``write``/``read_run``/
-        ``write_run`` append spans and return 0 cycles; the buffered cycles
-        land in ``self.cycles`` when the program is charged (automatically
-        once *flush_refs* references accumulate, or at flush/end).  Replay
-        order is the append order, so totals and machine state are
-        byte-identical to unbuffered execution.
-        """
-        if self._program is not None:
-            raise WorkloadError("program buffering already active")
-        self._program = SpanProgram()
-        self._program_flush = flush_refs
-
-    def flush_program(self) -> int:
-        """Charge the buffered program now; returns its cycles."""
-        prog = self._program
-        if prog is None:
-            raise WorkloadError("no active program")
-        if not prog.count:
-            return 0
-        cycles = self._access_program(self._page_table, prog, U, self._asid)[0]
-        self.cycles += cycles
-        prog.clear()
-        return cycles
-
-    def end_program(self) -> int:
-        """Flush any buffered accesses and leave buffering mode."""
-        cycles = self.flush_program()
-        self._program = None
-        return cycles
 
     def add(self, name: str, length: int, elem_bytes: int = 8) -> None:
         """Allocate and map a new array."""
@@ -145,37 +104,25 @@ class ArrayMap:
         return arr.base_va + index * arr.elem_bytes
 
     def read(self, name: str, index: int) -> int:
-        """Timed read of one element; returns cycles (0 while buffering)."""
+        """Timed read of one element; returns cycles."""
         arr = self._arrays[name]
         if not 0 <= index < arr.length:
             raise WorkloadError(f"{name}[{index}] out of bounds (length {arr.length})")
-        va = arr.base_va + index * arr.elem_bytes
-        prog = self._program
-        if prog is not None:
-            prog.run(va, 0, 1, _READ)
-            self.accesses += 1
-            if prog.count >= self._program_flush:
-                self.flush_program()
-            return 0
-        cycles = self._access_core(self._page_table, va, _READ, U, self._asid)[0]
+        cycles = self._access_core(
+            self._page_table, arr.base_va + index * arr.elem_bytes, _READ, U, self._asid
+        )[0]
         self.cycles += cycles
         self.accesses += 1
         return cycles
 
     def write(self, name: str, index: int) -> int:
-        """Timed write of one element; returns cycles (0 while buffering)."""
+        """Timed write of one element; returns cycles."""
         arr = self._arrays[name]
         if not 0 <= index < arr.length:
             raise WorkloadError(f"{name}[{index}] out of bounds (length {arr.length})")
-        va = arr.base_va + index * arr.elem_bytes
-        prog = self._program
-        if prog is not None:
-            prog.run(va, 0, 1, _WRITE)
-            self.accesses += 1
-            if prog.count >= self._program_flush:
-                self.flush_program()
-            return 0
-        cycles = self._access_core(self._page_table, va, _WRITE, U, self._asid)[0]
+        cycles = self._access_core(
+            self._page_table, arr.base_va + index * arr.elem_bytes, _WRITE, U, self._asid
+        )[0]
         self.cycles += cycles
         self.accesses += 1
         return cycles
@@ -202,18 +149,6 @@ class ArrayMap:
             raise WorkloadError(
                 f"{name}[{index}:{last}] out of bounds (length {arr.length})"
             )
-        prog = self._program
-        if prog is not None:
-            prog.run(
-                arr.base_va + index * arr.elem_bytes,
-                stride_elems * arr.elem_bytes,
-                count,
-                access,
-            )
-            self.accesses += count
-            if prog.count >= self._program_flush:
-                self.flush_program()
-            return 0
         cycles = self._access_run(
             self._page_table,
             arr.base_va + index * arr.elem_bytes,
@@ -310,7 +245,7 @@ class HeapMap:
 
     def touch_into(
         self,
-        block,  # AccessBlock or SpanProgram: anything with .run(va, stride, count, access)
+        block: AccessBlock,
         obj_id: int,
         writes: int = 0,
         reads: int = 1,
@@ -327,8 +262,8 @@ class HeapMap:
         if writes:
             block.run(va, 0, writes, _WRITE)
 
-    def submit(self, block) -> int:
-        """Charge a built-up block or program of object touches; returns cycles."""
+    def submit(self, block: AccessBlock) -> int:
+        """Charge a built-up block of object touches; returns cycles."""
         cycles = self._access_block(self._page_table, block, U, self._asid)[0]
         self.cycles += cycles
         self.accesses += block.count

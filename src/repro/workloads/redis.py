@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..common.errors import WorkloadError
-from ..engine.vector import SpanProgram
+from ..engine.block import AccessBlock
 from ..soc.system import System
 from ..tee.enclave import EnclaveRuntime
 from ..tee.monitor import HOST_DOMAIN_ID, SecureMonitor
@@ -191,11 +191,9 @@ class MiniRedis:
             cycles = self._lookup("mylist")
             n = min(count, len(nodes))
             # The element loop dominates the LRANGE figures, so the whole
-            # chase is batched into one span program (same touches, same
-            # order) and submitted in a single machine call — which the
-            # vector evaluator collapses to array kernels when the heap
-            # pages stay TLB/MRU resident.
-            block = SpanProgram()
+            # chase is batched into one access block (same touches, same
+            # order) and submitted in a single machine call.
+            block = AccessBlock()
             for i in range(n):
                 self.heap.touch_into(block, nodes[i], reads=2)  # node + value
                 # Each returned element materializes an ephemeral reply
