@@ -171,9 +171,10 @@ class PMPTable:
         self.mode = mode
         self.table_pages: List[int] = []
         self.entry_writes = 0  # total 64-bit pmpte writes (monitor charges these)
-        # page -> (TableLookup, pmpte words) memo for lookup(); reuse is
+        # page -> (TableLookup, pmpte words, memory epoch at which the entry
+        # was last validated) memo for lookup(); reuse after a write is
         # validated against memory, so writes invalidate implicitly.
-        self._lookup_cache: Dict[int, Tuple[TableLookup, Tuple[int, ...]]] = {}
+        self._lookup_cache: Dict[int, Tuple[TableLookup, Tuple[int, ...], int]] = {}
         if mode == MODE_FLAT:
             num_ptes = (region.size + LEAF_PTE_SPAN - 1) // LEAF_PTE_SPAN
             num_frames = max(1, (num_ptes * 8 + PAGE_SIZE - 1) // PAGE_SIZE)
@@ -346,26 +347,34 @@ class PMPTable:
     def lookup(self, paddr: int) -> TableLookup:
         """Functional walk: permission for *paddr* plus the pmpte PAs read.
 
-        Results are memoised per page and validated on reuse against the
-        pmpte words they were derived from, so monitor writes (or table
-        page recycling) can never serve a stale permission — the timed
-        walker still charges every pmpte reference itself.
+        Results are memoised per page together with the pmpte words they
+        were derived from and the memory's write ``epoch``.  A reuse at the
+        same epoch reads nothing, since nothing has been written.  After
+        any write, the words are re-read and compared (and the entry
+        stamped with the new epoch if they all match), so monitor writes
+        (or table page recycling) can never serve a stale permission — the
+        timed walker still charges every pmpte reference itself.
         """
         page = paddr >> PAGE_SHIFT
+        memory = self.memory
         cached = self._lookup_cache.get(page)
         if cached is not None:
-            result, values = cached
-            words = self.memory._words
+            result, values, epoch = cached
+            if epoch == memory.epoch:
+                return result
+            read64 = memory.read64
             for addr, value in zip(result.pmpte_addrs, values):
-                if words.get(addr, 0) != value:
+                if read64(addr) != value:
                     break
             else:
+                self._lookup_cache[page] = (result, values, memory.epoch)
                 return result
         result = self._lookup_uncached(paddr)
-        words = self.memory._words
+        read64 = memory.read64
         self._lookup_cache[page] = (
             result,
-            tuple(words.get(addr, 0) for addr in result.pmpte_addrs),
+            tuple(read64(addr) for addr in result.pmpte_addrs),
+            memory.epoch,
         )
         return result
 

@@ -34,6 +34,10 @@ class PhysicalMemory:
             raise MemoryError_(f"memory size must be positive, got {size}")
         self.region = MemRegion(base, size)
         self._words: Dict[int, int] = {}
+        # Write epoch: bumped by every write64 and every fill that writes a
+        # word.  A reader that remembers the epoch it last read at knows
+        # nothing has changed while the epoch is the same.
+        self.epoch = 0
 
     @property
     def base(self) -> int:
@@ -58,16 +62,20 @@ class PhysicalMemory:
         """Write an aligned 64-bit word (value truncated to 64 bits)."""
         self._check(paddr, WORD_BYTES)
         self._words[paddr] = value & 0xFFFF_FFFF_FFFF_FFFF
+        self.epoch += 1
 
     def fill(self, paddr: int, length: int, value64: int = 0) -> None:
         """Set every word in ``[paddr, paddr+length)`` to *value64*.
 
-        The whole range is validated before any word is written.
+        The whole range is validated before any word is written.  A fill
+        of at least one word bumps ``epoch`` once.
         """
         if paddr % WORD_BYTES or length % WORD_BYTES:
             raise AlignmentError(f"fill [{paddr:#x},+{length:#x}) not word-aligned")
         if not self.region.contains(paddr, length):
             raise MemoryError_(f"fill [{paddr:#x},+{length:#x}) outside DRAM {self.region}")
+        if length:
+            self.epoch += 1
         if value64 == 0:
             for addr in range(paddr, paddr + length, WORD_BYTES):
                 self._words.pop(addr, None)

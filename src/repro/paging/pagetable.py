@@ -127,10 +127,14 @@ class PageTable:
         self.levels = MODES[mode]
         self._alloc_pt_page = alloc_pt_page
         self.pt_pages: List[int] = []
-        # VPN -> Translation memo for walk(); every reuse re-validates the
-        # cached PTE values against memory, so no explicit invalidation is
-        # needed (or possible to miss).
+        # VPN -> Translation memo for walk(), plus VPN -> the memory epoch at
+        # which that entry was last validated.  A reuse at the same epoch
+        # reads nothing; after any write it re-validates the cached PTE
+        # values against memory, so no explicit invalidation is needed (or
+        # possible to miss).  The epochs sit in a dict of their own so that
+        # no memo entry gains an object the garbage collector tracks.
         self._walk_cache: Dict[int, Translation] = {}
+        self._walk_epoch: Dict[int, int] = {}
         self.root_pa = self._new_table_page()
 
     # -- construction -----------------------------------------------------
@@ -218,22 +222,28 @@ class PageTable:
     def walk(self, va: int) -> Translation:
         """Functional (untimed) walk; raises :class:`PageFault` on failure.
 
-        Successful walks are memoised per VPN and *validated* on reuse: a
-        cached translation is returned only when every PTE it read still
-        holds the value it read, so any write to table memory — through
-        this class or around it — transparently forces a fresh walk.  The
-        timed walker re-issues the step references itself, so memoisation
-        changes no cycle, reference or cache-state accounting.
+        Successful walks are memoised per VPN and *validated* on reuse.
+        While the memory's write ``epoch`` is the one the entry was last
+        validated at, nothing has been written and the entry is returned
+        without a read.  After any write, the entry is returned only when
+        every PTE it read still holds the value it read (and is then
+        stamped with the new epoch), so any write to table memory —
+        through this class or around it, or a guest view remapping a page
+        — transparently forces a fresh walk.  The timed walker re-issues
+        the step references itself, so memoisation changes no cycle,
+        reference or cache-state accounting.
         """
         vpn = va >> PAGE_SHIFT
         cached = self._walk_cache.get(vpn)
         if cached is not None:
-            words = getattr(self.memory, "_words", None)
-            if words is None:
-                read64 = self.memory.read64  # e.g. a guest memory view
+            memory = self.memory
+            epoch = memory.epoch
+            valid = self._walk_epoch[vpn] == epoch
+            if not valid:
+                read64 = memory.read64
                 valid = all(read64(s.pte_addr) == s.pte for s in cached.steps)
-            else:
-                valid = all(words.get(s.pte_addr, 0) == s.pte for s in cached.steps)
+                if valid:
+                    self._walk_epoch[vpn] = epoch
             if valid:
                 offset = va & (PAGE_SIZE - 1)
                 if cached.paddr & (PAGE_SIZE - 1) == offset:
@@ -261,6 +271,7 @@ class PageTable:
                 paddr = base | (va & (page_size - 1))
                 result = Translation(paddr, pte_perm(pte), bool(pte & PTE_U), page_size, tuple(steps))
                 self._walk_cache[vpn] = result
+                self._walk_epoch[vpn] = self.memory.epoch
                 return result
             table = pte_ppn(pte) << PAGE_SHIFT
         raise PageFault(va, "no leaf PTE found")

@@ -228,6 +228,35 @@ class TestPMPTable:
         assert table.lookup(pa).perm == perm
 
 
+MODES = pytest.mark.parametrize(
+    "mode", [MODE_2LEVEL, MODE_3LEVEL, MODE_FLAT], ids=["2level", "3level", "flat"]
+)
+
+
+class TestLookupMemo:
+    """lookup()'s memo is never served stale, whoever writes the table."""
+
+    @MODES
+    def test_raw_write64_to_pmpte_is_seen(self, env, mode):
+        table = make_table(env, mode=mode)
+        pa = table.region.base + 3 * PAGE_SIZE
+        table.set_page_perm(pa, Permission.rw())
+        first = table.lookup(pa)
+        assert first.perm == Permission.rw()
+        table.memory.write64(first.pmpte_addrs[-1], leaf_pmpte_uniform(Permission.rx()))
+        assert table.lookup(pa).perm == Permission.rx()
+
+    @MODES
+    def test_set_range_over_pmpte_is_seen(self, env, mode):
+        table = make_table(env, mode=mode)
+        pa = table.region.base + 3 * PAGE_SIZE
+        table.set_page_perm(pa, Permission.rw())
+        assert table.lookup(pa).perm == Permission.rw()
+        # A whole 64 KiB pmpte: set_range stores it with one memory fill.
+        table.set_range(table.region.base, LEAF_PTE_SPAN, Permission.rx())
+        assert table.lookup(pa).perm == Permission.rx()
+
+
 # Offsets into the 96 MiB fixture region, whose leaf-table boundaries fall at
 # 32 and 64 MiB.  Each case is (ops applied to both tables with set_range,
 # ops applied with set_range to one table and page by page to its twin).
@@ -266,9 +295,7 @@ class TestRunBoundaries:
     """set_range's leaf-run writes against a page-by-page twin table."""
 
     @pytest.mark.parametrize("case", sorted(RUN_CASES))
-    @pytest.mark.parametrize(
-        "mode", [MODE_2LEVEL, MODE_3LEVEL, MODE_FLAT], ids=["2level", "3level", "flat"]
-    )
+    @MODES
     def test_set_range_matches_per_page_twin(self, mode, case):
         region = MemRegion(BASE + 32 * MIB, 96 * MIB)
 

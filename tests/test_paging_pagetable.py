@@ -170,3 +170,50 @@ class TestPageTable:
         pa = BASE + 32 * MIB
         pt.map_page(va, pa)
         assert pt.walk(va).paddr == pa
+
+
+class TestWalkMemo:
+    """walk()'s memo is never served stale, whoever writes table memory,
+    and costs no memory read while nothing has been written."""
+
+    VA = 0x4000_0000
+
+    def _mapped(self, env):
+        pt = make_pt(env)
+        pt.map_page(self.VA, BASE + 32 * MIB)
+        return env[0], pt, pt.walk(self.VA)
+
+    def test_raw_write64_to_leaf_pte_is_seen(self, env):
+        mem, pt, first = self._mapped(env)
+        leaf_addr = first.steps[-1].pte_addr
+        mem.write64(leaf_addr, pte_encode((BASE + 40 * MIB) >> 12, Permission.rw()))
+        assert pt.walk(self.VA).paddr == BASE + 40 * MIB
+
+    def test_fill_zeroing_leaf_pt_page_is_seen(self, env):
+        mem, pt, first = self._mapped(env)
+        leaf_page = first.steps[-1].pte_addr & ~(PAGE_SIZE - 1)
+        mem.fill(leaf_page, PAGE_SIZE, 0)
+        with pytest.raises(PageFault):
+            pt.walk(self.VA)
+
+    def test_reuse_without_a_write_reads_nothing(self, env, monkeypatch):
+        mem, pt, first = self._mapped(env)
+        reads = []
+        real_read64 = mem.read64
+
+        def spy(paddr):
+            reads.append(paddr)
+            return real_read64(paddr)
+
+        monkeypatch.setattr(mem, "read64", spy)
+        assert pt.walk(self.VA + 0x18).paddr == first.paddr + 0x18
+        assert pt.walk(self.VA) is first
+        assert reads == []
+        # An unrelated write forces one word-by-word re-validation, which
+        # stamps the entry with the new epoch: the next reuse reads nothing.
+        mem.write64(BASE + 48 * MIB, 1)
+        assert pt.walk(self.VA) is first
+        assert reads == [step.pte_addr for step in first.steps]
+        reads.clear()
+        assert pt.walk(self.VA) is first
+        assert reads == []
