@@ -1,8 +1,12 @@
 """Experiment reproductions: one module per paper table/figure.
 
-Each module exposes ``run(...) -> list[dict]`` plus a ``main()`` that prints
-the table with the paper's expected shape in the title.  The benchmark
-harness under ``benchmarks/`` calls the same ``run`` functions.
+Each module exposes row functions (``run*``) plus one ``render(rows_by_cell)``
+that builds its tables from its ``SHARDS`` cells' rows, with the paper's
+expected shape in each title and the shape claims checked next to each table
+(:mod:`.report`).  Cells are the only producer of rows: ``python -m repro
+report`` renders every table from a campaign's results store, and
+``python -m repro <id>`` runs one experiment's cells in-process and prints
+the same render.
 
 ``SHARDS`` additionally slices every experiment into independently runnable
 cells (figure × machine × workload), mirroring how the paper's artifact fans

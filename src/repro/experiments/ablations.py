@@ -16,7 +16,7 @@ from ..isolation.pmptable import MODE_2LEVEL, MODE_3LEVEL, MODE_FLAT
 from ..soc.system import System
 from ..tee.monitor import SecureMonitor
 from ..workloads.microbench import run_fragmentation
-from .report import format_table
+from .report import Claim, RowsByCell, Table, format_table
 
 PROBE_VA = 0x40_0000_0000
 
@@ -167,38 +167,69 @@ def run_cache_style_management() -> List[Dict[str, object]]:
     ]
 
 
-def main() -> str:
-    chunks = [
-        format_table(
-            ["depth", "coverage", "total_refs", "checker_refs", "cold_cycles", "table_bytes"],
-            run_table_depth(),
-            title="Ablation: permission-table depth (paper §4.3 motivates 2-level)",
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """One table per ablation cell."""
+    depth = {row["depth"]: row for row in rows_by_cell["table-depth"]}
+    inlining = {row["tlb_inlining"]: row["hot_loop_cycles_per_access"] for row in rows_by_cell["tlb-inlining"]}
+    sweep = {row["pmptw_cache_entries"]: row["mean_cycles_per_access"] for row in rows_by_cell["pmptw-cache-sweep"]}
+    style = {row["strategy"]: row["relabel_cycles"] for row in rows_by_cell["cache-style"]}
+    hints = {row["configuration"]: row["cycles_per_access"] for row in rows_by_cell["hot-range-hints"]}
+    flat, two, three = depth["1-level (flat)"], depth["2-level (paper)"], depth["3-level"]
+    return [
+        Table(
+            "ablation_table_depth",
+            format_table(
+                ["depth", "coverage", "total_refs", "checker_refs", "cold_cycles", "table_bytes"],
+                rows_by_cell["table-depth"],
+                title="Ablation: permission-table depth (paper §4.3 motivates 2-level)",
+            ),
+            (
+                Claim("table depth: checker refs flat < 2-level < 3-level", "table-depth",
+                      flat["checker_refs"] < two["checker_refs"] < three["checker_refs"]),
+                Claim("table depth: flat cold miss cheaper than 3-level", "table-depth",
+                      flat["cold_cycles"] < three["cold_cycles"]),
+            ),
         ),
-        format_table(
-            ["tlb_inlining", "hot_loop_cycles_per_access"],
-            run_tlb_inlining(),
-            title="Ablation: TLB permission inlining (paper Implication-2)",
+        Table(
+            "ablation_tlb_inlining",
+            format_table(
+                ["tlb_inlining", "hot_loop_cycles_per_access"],
+                rows_by_cell["tlb-inlining"],
+                title="Ablation: TLB permission inlining (paper Implication-2)",
+            ),
+            (Claim("TLB inlining: hot loop cheaper with it on", "tlb-inlining", inlining["on"] < inlining["off"]),),
         ),
-        format_table(
-            ["pmptw_cache_entries", "mean_cycles_per_access"],
-            run_pmptw_cache_sweep(),
-            title="Ablation: PMPTW-Cache size (extends Figure 16)",
+        Table(
+            "ablation_pmptw_cache_sweep",
+            format_table(
+                ["pmptw_cache_entries", "mean_cycles_per_access"],
+                rows_by_cell["pmptw-cache-sweep"],
+                title="Ablation: PMPTW-Cache size (extends Figure 16)",
+            ),
+            (Claim("PMPTW-Cache: 32 entries no slower than none", "pmptw-cache-sweep", sweep[32] <= sweep[0]),),
         ),
-        format_table(
-            ["strategy", "relabel_cycles"],
-            run_cache_style_management(),
-            title="Ablation: cache-style fast-GMS management (paper §5)",
+        Table(
+            "ablation_cache_style",
+            format_table(
+                ["strategy", "relabel_cycles"],
+                rows_by_cell["cache-style"],
+                title="Ablation: cache-style fast-GMS management (paper §5)",
+            ),
+            (
+                Claim("cache-style relabel <= table rewrite", "cache-style",
+                      style["cache-style (paper)"] <= style["table-rewrite (ablated)"]),
+            ),
         ),
-        format_table(
-            ["configuration", "cycles_per_access"],
-            run_hint_ablation(),
-            title="Ablation: application hot-range hints (paper §9 ioctls)",
+        Table(
+            "ablation_hot_range_hints",
+            format_table(
+                ["configuration", "cycles_per_access"],
+                rows_by_cell["hot-range-hints"],
+                title="Ablation: application hot-range hints (paper §9 ioctls)",
+            ),
+            (
+                Claim("hints: hinted scan cheaper than unhinted", "hot-range-hints",
+                      hints["hot-range hint (segment-checked)"] < hints["no hint (table-checked data)"]),
+            ),
         ),
     ]
-    text = "\n\n".join(chunks)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -49,9 +49,9 @@ from ..cloud import (
 )
 from ..common.errors import WorkloadError
 from ..common.params import machine_params
-from .report import format_table
+from .report import RowsByCell, Table, format_table
 
-#: Row columns of the per-class rollup table printed by :func:`main`.
+#: Row columns of the per-class rollup table :func:`render` writes.
 CLASS_COLUMNS = [
     "tenant_class",
     "tenants",
@@ -229,27 +229,19 @@ def partition_cloud(**kwargs: object):
     ]
 
 
-def main() -> str:
-    rows = run_cloud(tenants=256, slices=4)
-    class_rows = [r for r in rows if r.get("kind") == "class"]
-    node = next(r for r in rows if r.get("kind") == "node")
-    chunks = [
-        format_table(
-            CLASS_COLUMNS,
-            class_rows,
-            title="Cloud node (pmpt, poisson, 256 tenants): per-class SLO rollup "
-            "(expect: cache tenants highest refs/s; serverless launch-dominated)",
-        ),
-        format_table(
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """Per cell: the per-class SLO rollup and the node horizon rollup."""
+    tables = []
+    for cell, rows in rows_by_cell.items():
+        node = next(row for row in rows if row["kind"] == "node")
+        title = f"Cloud node ({node['scheme']}, {node['profile']}, {node['tenants']} tenants): per-class SLO rollup"
+        if node["profile"] == "poisson":
+            title += " (expect: cache tenants highest refs/s; serverless launch-dominated)"
+        class_table = format_table(CLASS_COLUMNS, [row for row in rows if row["kind"] == "class"], title=title)
+        node_table = format_table(
             ["lifecycles", "rejected", "peak_tenants", "final_frag_pct", "peak_frag_pct"],
             [node],
             title="Node horizon rollup",
-        ),
-    ]
-    text = "\n\n".join(chunks)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()
+        )
+        tables.append(Table("cloud_" + cell.replace("-", "_"), class_table + "\n\n" + node_table))
+    return tables

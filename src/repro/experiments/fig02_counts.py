@@ -10,7 +10,7 @@ from typing import Dict, List
 
 from ..common.types import PAGE_SIZE
 from ..soc.system import System
-from .report import format_table
+from .report import Claim, RowsByCell, Table, format_table
 
 MODES = ("sv39", "sv48", "sv57")
 KINDS = ("pmp", "pmpt", "hpmp")
@@ -33,15 +33,19 @@ def run(modes=MODES, kinds=KINDS) -> List[Dict[str, object]]:
     return rows
 
 
-def main() -> str:
-    text = format_table(
-        ["mode", "pmp", "pmpt", "hpmp"],
-        run(),
-        title="Figure 2: memory references per TLB-missing access (paper: sv39 = 4 / 12 / 6)",
-    )
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """Figure 2's table from the ``counts`` cell."""
+    rows = rows_by_cell["counts"]
+    sv39 = next(row for row in rows if row["mode"] == "sv39")
+    counts = tuple(sv39[kind] for kind in KINDS)
+    return [
+        Table(
+            "fig02_reference_counts",
+            format_table(
+                ["mode", *KINDS],
+                rows,
+                title="Figure 2: memory references per TLB-missing access (paper: sv39 = 4 / 12 / 6)",
+            ),
+            (Claim("sv39 pmp/pmpt/hpmp refs = 4/12/6", "counts", counts == (4, 12, 6), str(counts)),),
+        )
+    ]

@@ -13,7 +13,7 @@ from ..workloads.functionbench import run_function
 from ..workloads.gap import run_kernel
 from ..workloads.microbench import TEST_CASES, latency_sweep
 from ..workloads.redis import run_redis_benchmark
-from .report import format_table
+from .report import Claim, RowsByCell, Table, format_table
 
 
 def _avg_worst(ratios: List[float]) -> Dict[str, float]:
@@ -64,16 +64,24 @@ def run(machine: str = "boom", gap_scale: int = 11, redis_requests: int = 30) ->
     return rows
 
 
-def main() -> str:
-    text = format_table(
-        ["panel", "segment", "avg", "worst"],
-        run(),
-        title="Figure 3: Table normalized to Segment, BOOM "
-        "(paper: ld +63.4% avg/+91.1% worst; GAP +5.2%/+9.6%; serverless up to +20.3%; Redis down to 68.2%)",
-    )
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """Figure 3's table from the ``preview`` cell."""
+    rows = rows_by_cell["preview"]
+    by_panel = {row["panel"]: row for row in rows}
+    ld, rps = by_panel["ld latency"], by_panel["Redis RPS"]
+    return [
+        Table(
+            "fig03_preview",
+            format_table(
+                ["panel", "segment", "avg", "worst"],
+                rows,
+                title="Figure 3: Table normalized to Segment, BOOM "
+                "(paper: ld +63.4% avg/+91.1% worst; GAP +5.2%/+9.6%; serverless up to +20.3%; Redis down to 68.2%)",
+            ),
+            (
+                Claim("ld latency avg > 100%", "preview", ld["avg"] > 100.0),
+                Claim("ld latency worst >= avg", "preview", ld["worst"] >= ld["avg"]),
+                Claim("Redis RPS avg < 100%", "preview", rps["avg"] < 100.0),
+            ),
+        )
+    ]

@@ -6,7 +6,7 @@ from typing import Dict, List
 
 from ..common.types import AccessType
 from ..workloads.microbench import TEST_CASES, latency_sweep
-from .report import format_table
+from .report import Claim, RowsByCell, Table, format_table
 
 KINDS = ("pmpt", "hpmp", "pmp")
 
@@ -43,29 +43,37 @@ def mitigation(rows: List[Dict[str, object]]) -> Dict[str, float]:
     return out
 
 
-def main() -> str:
-    chunks = []
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """Figure 10's four tables, one per ``<machine>-<op>`` cell."""
+    tables = []
     for machine in ("rocket", "boom"):
-        for access, label in ((AccessType.READ, "ld"), (AccessType.WRITE, "sd")):
-            rows = run(machine, access)
-            chunks.append(
-                format_table(
-                    ["checker", *TEST_CASES],
-                    rows,
-                    title=f"Figure 10: {label} latency (cycles), {machine} "
-                    f"(paper: PMPT > HPMP > PMP, equal at TC4)",
-                )
-            )
+        for op in OPS:
+            cell = f"{machine}-{op}"
+            rows = rows_by_cell[cell]
+            by = {row["checker"]: row for row in rows}
             mit = mitigation(rows)
-            chunks.append(
-                "HPMP mitigates of PMPT extra cost: "
+            text = format_table(
+                ["checker", *TEST_CASES],
+                rows,
+                title=f"Figure 10: {op} latency (cycles), {machine} (paper: PMPT > HPMP > PMP, equal at TC4)",
+            )
+            text += (
+                "\n\nHPMP mitigates of PMPT extra cost: "
                 + ", ".join(f"{c}={v:.0f}%" for c, v in mit.items() if c != "TC4")
                 + "  (paper: 23.1%-73.1% on BOOM)"
             )
-    text = "\n\n".join(chunks)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()
+            ladder = all(
+                by["pmp"][case] < by["hpmp"][case] < by["pmpt"][case] and 15.0 <= mit[case] <= 85.0
+                for case in TEST_CASES[:3]
+            )
+            tables.append(
+                Table(
+                    f"fig10_{op}_{machine}",
+                    text,
+                    (
+                        Claim("TC1-TC3: pmp < hpmp < pmpt, HPMP mitigates 15-85%", cell, ladder),
+                        Claim("TC4: all schemes equal", cell, by["pmp"]["TC4"] == by["hpmp"]["TC4"] == by["pmpt"]["TC4"]),
+                    ),
+                )
+            )
+    return tables

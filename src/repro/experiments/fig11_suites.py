@@ -7,7 +7,7 @@ from typing import Dict, List
 from ..common.params import machine_params
 from ..workloads.gap import KERNELS, run_kernel
 from ..workloads.rv8 import PROGRAMS, run_program
-from .report import concat_rows, format_table  # noqa: F401  (concat_rows: sub-shard merge, resolved by name)
+from .report import RowsByCell, Table, concat_rows, every, format_table  # noqa: F401  (concat_rows: sub-shard merge, resolved by name)
 
 KINDS = ("pmp", "pmpt", "hpmp")
 
@@ -67,27 +67,40 @@ def partition_gap(machine: str = "rocket", scale: int = 12, kernels=KERNELS):
     ]
 
 
-def main(gap_scale: int = 12) -> str:
-    chunks = [
-        format_table(
-            ["program", "pmp", "pmpt", "hpmp", "pmpt_overhead_%", "hpmp_overhead_%"],
-            run_rv8(),
-            title="Figure 11-a: RV8 on RocketCore, ms (paper: PMPT +0.0-1.7%, HPMP +0.0-0.5%)",
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """Figure 11's RV8 table and one GAP table per machine."""
+    rv8 = rows_by_cell["rv8-rocket"]
+    tables = [
+        Table(
+            "fig11a_rv8_rocket",
+            format_table(
+                ["program", "pmp", "pmpt", "hpmp", "pmpt_overhead_%", "hpmp_overhead_%"],
+                rv8,
+                title="Figure 11-a: RV8 on RocketCore, ms (paper: PMPT +0.0-1.7%, HPMP +0.0-0.5%)",
+            ),
+            (
+                every("RV8: hpmp overhead <= pmpt overhead + 0.5", "rv8-rocket", rv8,
+                      lambda r: r["hpmp_overhead_%"] <= r["pmpt_overhead_%"] + 0.5, "program"),
+                every("RV8: pmpt overhead < 15%", "rv8-rocket", rv8, lambda r: r["pmpt_overhead_%"] < 15.0, "program"),
+            ),
         )
     ]
-    for machine in ("rocket", "boom"):
-        chunks.append(
-            format_table(
-                ["kernel", "pmp", "pmpt", "hpmp"],
-                run_gap(machine, scale=gap_scale),
-                title=f"Figure 11-{'b' if machine == 'rocket' else 'c'}: GAP normalized latency (%), {machine} "
-                "(paper: PMPT +1.2-6.7% rocket / +1.8-9.6% boom)",
+    for machine, panel in (("rocket", "b"), ("boom", "c")):
+        cell = f"gap-{machine}"
+        rows = rows_by_cell[cell]
+        tables.append(
+            Table(
+                f"fig11_gap_{machine}",
+                format_table(
+                    ["kernel", *KINDS],
+                    rows,
+                    title=f"Figure 11-{panel}: GAP normalized latency (%), {machine} "
+                    "(paper: PMPT +1.2-6.7% rocket / +1.8-9.6% boom)",
+                ),
+                (
+                    every("GAP: pmpt >= 100%", cell, rows, lambda r: r["pmpt"] >= 100.0, "kernel"),
+                    every("GAP: hpmp <= pmpt + 0.2", cell, rows, lambda r: r["hpmp"] <= r["pmpt"] + 0.2, "kernel"),
+                ),
             )
         )
-    text = "\n\n".join(chunks)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()
+    return tables

@@ -8,7 +8,7 @@ from ..common.params import machine_params
 from ..workloads.functionbench import FUNCTIONS, run_function
 from ..workloads.redis import COMMANDS, RedisResult, run_redis_benchmark
 from ..workloads.serverless_chain import IMAGE_SIZES, run_chain
-from .report import concat_rows, format_table  # noqa: F401  (concat_rows: sub-shard merge, resolved by name)
+from .report import Claim, RowsByCell, Table, concat_rows, every, format_table  # noqa: F401  (concat_rows: sub-shard merge, resolved by name)
 
 KINDS = ("pmp", "pmpt", "hpmp")
 
@@ -176,37 +176,68 @@ def partition_chain(machine: str = "boom", sizes=IMAGE_SIZES):
     ]
 
 
-def main() -> str:
-    chunks = []
-    for machine, fig in (("rocket", "a"), ("boom", "b")):
-        chunks.append(
-            format_table(
-                ["function", "pl-pmp_kcycles", "host-pmp", "pl-pmp", "pmpt", "hpmp"],
-                run_functionbench_rows(machine),
-                title=f"Figure 12-{fig}: FunctionBench normalized latency (%), {machine} "
-                "(paper boom: PMPT +5.5-20.3%, HPMP +0.0-6.4%)",
+def _avg(rows: List[Dict[str, object]], key: str) -> float:
+    return sum(row[key] for row in rows) / len(rows)
+
+
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """Figure 12's FunctionBench (a/b), image-chain (c) and Redis (d/e) tables."""
+    tables = []
+    for machine, panel in (("rocket", "a"), ("boom", "b")):
+        cell = f"functionbench-{machine}"
+        rows = rows_by_cell[cell]
+        tables.append(
+            Table(
+                f"fig12_functionbench_{machine}",
+                format_table(
+                    ["function", "pl-pmp_kcycles", "host-pmp", "pl-pmp", "pmpt", "hpmp"],
+                    rows,
+                    title=f"Figure 12-{panel}: FunctionBench normalized latency (%), {machine} "
+                    "(paper boom: PMPT +5.5-20.3%, HPMP +0.0-6.4%)",
+                ),
+                (
+                    every("FunctionBench: pmpt >= 100%", cell, rows, lambda r: r["pmpt"] >= 100.0, "function"),
+                    every("FunctionBench: hpmp <= pmpt", cell, rows, lambda r: r["hpmp"] <= r["pmpt"], "function"),
+                    every("FunctionBench: host-pmp within 25% of pl-pmp", cell, rows,
+                          lambda r: abs(r["host-pmp"] - 100.0) < 25.0, "function"),
+                    Claim("FunctionBench: avg hpmp < avg pmpt", cell, _avg(rows, "hpmp") < _avg(rows, "pmpt")),
+                ),
             )
         )
-    chunks.append(
-        format_table(
-            ["image_size", "pl-pmp_kcycles", "pl-pmp", "pl-pmpt", "pl-hpmp"],
-            run_chain_rows(),
-            title="Figure 12-c: image chain (paper: PMPT +29.7%→+1.6% as size grows; HPMP +0.3-6.7%)",
+    chain = rows_by_cell["image-chain"]
+    latencies = [row["pl-pmp_kcycles"] for row in chain]
+    tables.append(
+        Table(
+            "fig12c_image_chain",
+            format_table(
+                ["image_size", "pl-pmp_kcycles", "pl-pmp", "pl-pmpt", "pl-hpmp"],
+                chain,
+                title="Figure 12-c: image chain (paper: PMPT +29.7%→+1.6% as size grows; HPMP +0.3-6.7%)",
+            ),
+            (
+                Claim("image chain: pmpt overhead shrinks with size", "image-chain", chain[0]["pl-pmpt"] > chain[-1]["pl-pmpt"]),
+                every("image chain: pl-hpmp <= pl-pmpt", "image-chain", chain, lambda r: r["pl-hpmp"] <= r["pl-pmpt"], "image_size"),
+                Claim("image chain: latency grows with size", "image-chain", latencies == sorted(latencies)),
+            ),
         )
     )
-    for machine, fig in (("rocket", "d"), ("boom", "e")):
-        chunks.append(
-            format_table(
-                ["command", "pmp_rps", "pmp", "pmpt", "hpmp"],
-                run_redis_rows(machine),
-                title=f"Figure 12-{fig}: Redis normalized RPS (%), {machine} "
-                "(paper: PMPT -5.9..-18% rocket / -10.8..-31.8% boom; HPMP -3.3% / -4.5% avg)",
+    for machine, panel in (("rocket", "d"), ("boom", "e")):
+        cell = f"redis-{machine}"
+        rows = rows_by_cell[cell]
+        tables.append(
+            Table(
+                f"fig12_redis_{machine}",
+                format_table(
+                    ["command", "pmp_rps", "pmp", "pmpt", "hpmp"],
+                    rows,
+                    title=f"Figure 12-{panel}: Redis normalized RPS (%), {machine} "
+                    "(paper: PMPT -5.9..-18% rocket / -10.8..-31.8% boom; HPMP -3.3% / -4.5% avg)",
+                ),
+                (
+                    every("Redis: pmpt <= 100.5%", cell, rows, lambda r: r["pmpt"] <= 100.5, "command"),
+                    every("Redis: hpmp >= pmpt - 0.5", cell, rows, lambda r: r["hpmp"] >= r["pmpt"] - 0.5, "command"),
+                    Claim("Redis: avg hpmp > avg pmpt", cell, _avg(rows, "hpmp") > _avg(rows, "pmpt")),
+                ),
             )
         )
-    text = "\n\n".join(chunks)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()
+    return tables

@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 from ..common.types import PAGE_SIZE, AccessType
 from ..soc.system import System
 from ..virt.nested import GUEST_DRAM_BASE, VirtualMachine
-from .report import format_table
+from .report import Claim, RowsByCell, Table, format_table
 
 CASES = ("TC1", "after_hfence.v", "after_hfence.g", "TC3", "TC4")
 
@@ -75,21 +75,39 @@ def reference_counts(machine: str = "rocket") -> List[Dict[str, object]]:
     return rows
 
 
-def main() -> str:
-    text = format_table(
-        ["scheme", *CASES],
-        run(),
-        title="Figure 13: virtualized access latency, cycles, rocket "
-        "(paper: PMPT +89.9-155% over PMP; HPMP cuts to 29.7-75.6%; HPMP-GPT to 16.3-26.8%)",
-    )
-    text += "\n\n" + format_table(
-        ["scheme", "refs", "checker_refs"],
-        reference_counts(),
-        title="Cold 3D-walk reference counts (paper: 48 / 24 / 18 / 16)",
-    )
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """Figure 13's latency table and the cold 3D-walk reference counts."""
+    latency = rows_by_cell["latency"]
+    tc1 = {row["scheme"]: row["TC1"] for row in latency}
+    counts = {row["scheme"]: row["refs"] for row in rows_by_cell["counts"]}
+    return [
+        Table(
+            "fig13_virtualization",
+            format_table(
+                ["scheme", *CASES],
+                latency,
+                title="Figure 13: virtualized access latency, cycles, rocket "
+                "(paper: PMPT +89.9-155% over PMP; HPMP cuts to 29.7-75.6%; HPMP-GPT to 16.3-26.8%)",
+            ),
+            (
+                Claim("TC1: pmp < hpmp-gpt < hpmp < pmpt", "latency", tc1["pmp"] < tc1["hpmp-gpt"] < tc1["hpmp"] < tc1["pmpt"]),
+                Claim("TC4: all schemes equal", "latency", len({row["TC4"] for row in latency}) == 1),
+            ),
+        ),
+        Table(
+            "fig13_reference_counts",
+            format_table(
+                ["scheme", "refs", "checker_refs"],
+                rows_by_cell["counts"],
+                title="Cold 3D-walk reference counts (paper: 48 / 24 / 18 / 16)",
+            ),
+            (
+                Claim(
+                    "cold refs pmpt/hpmp/hpmp-gpt/pmp = 48/24/18/16",
+                    "counts",
+                    counts == {"pmpt": 48, "hpmp": 24, "hpmp-gpt": 18, "pmp": 16},
+                    str(counts),
+                ),
+            ),
+        ),
+    ]

@@ -13,7 +13,7 @@ from ..common.errors import OutOfResources
 from ..common.types import KIB, MIB
 from ..soc.system import System
 from ..tee.monitor import SecureMonitor
-from .report import format_table
+from .report import Claim, RowsByCell, Table, every, format_table
 
 SCHEMES = ("pmp", "hpmp")
 
@@ -83,35 +83,65 @@ def run_alloc_sizes(sizes_mib=(1, 2, 4, 8, 16, 32, 64)) -> List[Dict[str, object
     return rows
 
 
-def main() -> str:
-    chunks = [
-        format_table(
-            ["domains", "penglai-pmp", "penglai-hpmp"],
-            run_domain_switch(),
-            title="Figure 14-a: domain switch cycles (paper: <1% apart; PMP fails at 101)",
-        )
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """Figure 14's switch (a), region grant/revoke (b/c) and size (d) tables."""
+    switch = rows_by_cell["domain-switch"]
+    by_domains = {row["domains"]: row for row in switch}
+    regions = rows_by_cell["region-alloc-release"]
+    pmp_ok = [row for row in regions if isinstance(row["penglai-pmp_alloc"], int)]
+    hpmp_ok = [row for row in regions if isinstance(row["penglai-hpmp_alloc"], int)]
+    steady = [row for row in hpmp_ok[1:] if isinstance(row["penglai-pmp_alloc"], int)]
+    sizes = rows_by_cell["alloc-sizes"]
+    by_size = {row["size_mib"]: row["penglai-hpmp"] for row in sizes}
+    return [
+        Table(
+            "fig14a_domain_switch",
+            format_table(
+                ["domains", "penglai-pmp", "penglai-hpmp"],
+                switch,
+                title="Figure 14-a: domain switch cycles (paper: <1% apart; PMP fails at 101)",
+            ),
+            (
+                Claim(
+                    "switch: hpmp within 5% of pmp at 2 and 12 domains",
+                    "domain-switch",
+                    all(
+                        abs(by_domains[n]["penglai-hpmp"] - by_domains[n]["penglai-pmp"]) / by_domains[n]["penglai-pmp"] < 0.05
+                        for n in (2, 12)
+                    ),
+                ),
+                Claim("switch: PMP has no entry left at 101 domains", "domain-switch",
+                      by_domains[101]["penglai-pmp"] == "no available PMP"),
+                Claim("switch: HPMP switches 101 domains", "domain-switch",
+                      isinstance(by_domains[101]["penglai-hpmp"], int)),
+            ),
+        ),
+        Table(
+            "fig14bc_region_alloc_release",
+            format_table(
+                ["region", "penglai-pmp_alloc", "penglai-hpmp_alloc", "penglai-pmp_release", "penglai-hpmp_release"],
+                regions,
+                title="Figure 14-b/c: 64 KiB region grant/revoke cycles "
+                "(paper: PMP supports few regions; HPMP slightly slower but unlimited)",
+            ),
+            (
+                Claim("regions: PMP grants fewer than 16", "region-alloc-release", len(pmp_ok) < 16, f"pmp granted {len(pmp_ok)}"),
+                Claim("regions: HPMP grants all 100", "region-alloc-release", len(hpmp_ok) == 100, f"hpmp granted {len(hpmp_ok)}"),
+                every("regions: steady-state hpmp grant >= pmp grant", "region-alloc-release", steady,
+                      lambda r: r["penglai-hpmp_alloc"] >= r["penglai-pmp_alloc"], "region"),
+            ),
+        ),
+        Table(
+            "fig14d_alloc_sizes",
+            format_table(
+                ["size_mib", "penglai-hpmp"],
+                sizes,
+                title="Figure 14-d: allocation cycles vs size (paper: grows with size; "
+                "32 MiB regions collapse to one huge pmpte write)",
+            ),
+            (
+                Claim("alloc size: cost grows 2 < 4 < 16 MiB", "alloc-sizes", by_size[16] > by_size[4] > by_size[2]),
+                Claim("alloc size: 32 MiB cheaper than 2 MiB", "alloc-sizes", by_size[32] < by_size[2]),
+            ),
+        ),
     ]
-    alloc_rows = run_region_alloc_release(num_regions=24)
-    chunks.append(
-        format_table(
-            ["region", "penglai-pmp_alloc", "penglai-hpmp_alloc", "penglai-pmp_release", "penglai-hpmp_release"],
-            alloc_rows,
-            title="Figure 14-b/c: 64 KiB region grant/revoke cycles "
-            "(paper: PMP supports few regions; HPMP slightly slower but unlimited)",
-        )
-    )
-    chunks.append(
-        format_table(
-            ["size_mib", "penglai-hpmp"],
-            run_alloc_sizes(),
-            title="Figure 14-d: allocation cycles vs size (paper: grows with size; "
-            "32 MiB regions collapse to one huge pmpte write)",
-        )
-    )
-    text = "\n\n".join(chunks)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..workloads.microbench import run_fragmentation
-from .report import format_table
+from .report import Claim, RowsByCell, Table, every, format_table
 
 KINDS = ("pmp", "pmpt", "hpmp")
 VA_PATTERNS = ("Contiguous-VA", "Fragmented-VA")
@@ -85,31 +85,71 @@ def run_fig16(machine: str = "rocket", num_pages: int = 64, pa_fragmented: bool 
     return rows
 
 
-def main() -> str:
-    chunks = [
-        format_table(
-            ["physical_pages", "va_pattern", "pmp", "pmpt", "hpmp"],
-            run_fig15(),
-            title="Figure 15: fragmentation, mean cycles/access "
-            "(paper: fragmented PA + fragmented VA worst; HPMP always beats PMPT)",
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """Figure 15's native and virtualized grids and Figure 16's cache table."""
+    native = rows_by_cell["native"]
+    grid = {(row["physical_pages"], row["va_pattern"]): row for row in native}
+    virt = rows_by_cell["virtualized"]
+    by_host = {row["host_physical"]: row for row in virt}
+    cache = rows_by_cell["fig16-cache"]
+    return [
+        Table(
+            "fig15_fragmentation",
+            format_table(
+                ["physical_pages", "va_pattern", *KINDS],
+                native,
+                title="Figure 15: fragmentation, mean cycles/access "
+                "(paper: fragmented PA + fragmented VA worst; HPMP always beats PMPT)",
+            ),
+            (
+                every("fragmentation: pmp <= hpmp <= pmpt", "native", native,
+                      lambda r: r["pmp"] <= r["hpmp"] <= r["pmpt"], "physical_pages", "va_pattern"),
+                Claim(
+                    "fragmentation: fragmented VA costs more than contiguous VA",
+                    "native",
+                    all(grid["contiguous", "Fragmented-VA"][k] > grid["contiguous", "Contiguous-VA"][k] for k in KINDS),
+                ),
+                Claim(
+                    "fragmentation: fragmented PA + VA is pmpt's worst quadrant",
+                    "native",
+                    grid["fragmented", "Fragmented-VA"]["pmpt"] == max(row["pmpt"] for row in native),
+                ),
+            ),
         ),
-        format_table(
-            ["host_physical", "va_pattern", "pmp", "pmpt", "hpmp"],
-            run_fig15_virtualized(),
-            title="Figure 15 (virtualized cases 3/4): fragmented guest VAs over "
-            "contiguous vs fragmented host frames",
+        Table(
+            "fig15_fragmentation_virtualized",
+            format_table(
+                ["host_physical", "va_pattern", *KINDS],
+                virt,
+                title="Figure 15 (virtualized cases 3/4): fragmented guest VAs over "
+                "contiguous vs fragmented host frames",
+            ),
+            (
+                every("virtualized: pmp <= hpmp <= pmpt", "virtualized", virt,
+                      lambda r: r["pmp"] <= r["hpmp"] <= r["pmpt"], "host_physical"),
+                Claim("virtualized: fragmented host frames cost pmpt more", "virtualized",
+                      by_host["fragmented"]["pmpt"] > by_host["contiguous"]["pmpt"]),
+                Claim("virtualized: pmp unaffected by host fragmentation", "virtualized",
+                      by_host["fragmented"]["pmp"] == by_host["contiguous"]["pmp"]),
+            ),
         ),
-        format_table(
-            ["va_pattern", "pmpt", "pmpt-cache", "hpmp", "hpmp-cache", "pmp"],
-            run_fig16(),
-            title="Figure 16: PMPTW-Cache (paper: cache helps PMPT a lot on fragmented VA; "
-            "HPMP-Cache is best everywhere)",
+        Table(
+            "fig16_pmpt_cache",
+            format_table(
+                ["va_pattern", "pmpt", "pmpt-cache", "hpmp", "hpmp-cache", "pmp"],
+                cache,
+                title="Figure 16: PMPTW-Cache (paper: cache helps PMPT a lot on fragmented VA; "
+                "HPMP-Cache is best everywhere)",
+            ),
+            (
+                every("PMPTW-Cache: pmpt-cache <= pmpt", "fig16-cache", cache,
+                      lambda r: r["pmpt-cache"] <= r["pmpt"], "va_pattern"),
+                every("PMPTW-Cache: hpmp-cache <= hpmp", "fig16-cache", cache,
+                      lambda r: r["hpmp-cache"] <= r["hpmp"], "va_pattern"),
+                every("PMPTW-Cache: hpmp-cache <= pmpt-cache", "fig16-cache", cache,
+                      lambda r: r["hpmp-cache"] <= r["pmpt-cache"], "va_pattern"),
+                every("PMPTW-Cache: pmp <= hpmp-cache", "fig16-cache", cache,
+                      lambda r: r["pmp"] <= r["hpmp-cache"], "va_pattern"),
+            ),
         ),
     ]
-    text = "\n\n".join(chunks)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

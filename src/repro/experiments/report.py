@@ -1,16 +1,18 @@
 """Report helpers shared by all experiment modules.
 
-Each experiment module exposes ``run(...) -> list[dict]`` (rows) and a
-``main()`` that prints an aligned table; the benchmark harness re-uses the
-same ``run`` functions so the numbers in ``bench_output.txt`` and the
-examples agree.
+Each experiment module exposes row functions (``run*``, named by its
+``SHARDS`` cells) and one ``render(rows_by_cell)`` that turns those cells'
+rows into tables: the aligned text written to
+``benchmarks/results/<name>.txt`` plus the shape claims checked on the same
+rows.  ``python -m repro report`` and ``python -m repro <id>``
+both go through ``render``, so every reported table has one producer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..engine import MetricsSink
 from ..engine.metrics import _plain
@@ -31,6 +33,35 @@ def format_table(headers: Sequence[str], rows: Iterable[Mapping[str, object]], t
         if i == 0:
             lines.append("  ".join("-" * widths[j] for j in range(len(headers))))
     return "\n".join(lines)
+
+
+#: What a ``render`` function reads: each of its experiment's cells' rows, by
+#: shard name.
+RowsByCell = Mapping[str, List[Dict[str, object]]]
+
+
+class Claim(NamedTuple):
+    """One shape claim, checked on a cell's rows next to the table it reads."""
+
+    name: str
+    cell: str  # shard name the claim reads; "" = several cells of the experiment
+    ok: bool
+    detail: str = ""
+
+
+class Table(NamedTuple):
+    """One rendered results table and the claims checked on its rows."""
+
+    name: str  # file stem under benchmarks/results
+    text: str
+    claims: Tuple[Claim, ...] = ()
+
+
+def every(name: str, cell: str, rows: Sequence[Mapping[str, object]], test: Callable[[Mapping[str, object]], bool], *keys: str) -> Claim:
+    """A claim that *test* holds on every row; the detail names the rows it
+    fails on by their *keys* columns."""
+    bad = ["/".join(str(row.get(key)) for key in keys) for row in rows if not test(row)]
+    return Claim(name, cell, not bad, "fails on " + ", ".join(bad) if bad else "")
 
 
 def _format_cell(value: object) -> str:

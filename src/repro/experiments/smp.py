@@ -28,7 +28,7 @@ from ..common.types import PAGE_SIZE
 from ..soc.smp import HartProgram, RoundRobinInterleaver
 from ..soc.system import System
 from ..tee.monitor import HOST_DOMAIN_ID, SecureMonitor
-from .report import format_table
+from .report import RowsByCell, Table, format_table
 
 SCHEMES = ("pmpt", "hpmp")
 HART_COUNTS = (1, 2, 4, 8)
@@ -144,21 +144,17 @@ _COLUMNS = [
 ]
 
 
-def main() -> str:
-    chunks = []
-    for scheme in SCHEMES:
-        chunks.append(
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """One hart-scaling table per scheme (the 2-hart smoke cell has none)."""
+    return [
+        Table(
+            f"smp_hart_scaling_{scheme}",
             format_table(
                 _COLUMNS,
-                run_hart_scaling(scheme=scheme),
+                rows_by_cell[f"hart-scaling-{scheme}"],
                 title=f"Hart scaling ({scheme}): throughput and SMP overhead vs harts "
                 "(expect: overhead grows with harts; single hart bills zero)",
-            )
+            ),
         )
-    text = "\n\n".join(chunks)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()
+        for scheme in SCHEMES
+    ]

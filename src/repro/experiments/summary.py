@@ -7,36 +7,27 @@ version of EXPERIMENTS.md's verdict column.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..analysis import ShapeAssessment, compare
 from ..common.types import KIB, PAGE_SIZE
-from ..engine import HistogramHook, MetricsSink
 from ..soc.system import System
 from ..tee.monitor import SecureMonitor
 from ..workloads.microbench import measure_latency
-from .report import emit_metrics, format_table
+from .report import RowsByCell, Table, every, format_table
 
 
 def _claim(name: str, ok: bool, detail: str) -> Dict[str, object]:
     return {"claim": name, "verdict": "PASS" if ok else "FAIL", "detail": detail}
 
 
-def run(sink: Optional[MetricsSink] = None) -> List[Dict[str, object]]:
+def run() -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
-    # With a sink, observe every timed reference through an engine hook.
-    # Hooks never alter timing, so the claim verdicts are unaffected.
-    hook = HistogramHook("summary") if sink is not None else None
-
-    def observe(system: System) -> System:
-        if hook is not None:
-            system.machine.engine.install_hook(hook)
-        return system
 
     # Claim 1: Sv39 reference counts 4 / 12 / 6.
     counts = {}
     for kind in ("pmp", "pmpt", "hpmp"):
-        system = observe(System(machine="rocket", checker_kind=kind, mem_mib=128))
+        system = System(machine="rocket", checker_kind=kind, mem_mib=128)
         space = system.new_address_space()
         space.map(0x40_0000_0000, PAGE_SIZE)
         system.machine.cold_boot()
@@ -45,7 +36,7 @@ def run(sink: Optional[MetricsSink] = None) -> List[Dict[str, object]]:
     rows.append(_claim("Sv39 refs 4/12/6 (Fig 2)", ok, str(counts)))
 
     # Claim 2: 75% of the extra references validate PT pages.
-    system = observe(System(machine="rocket", checker_kind="pmpt", mem_mib=128))
+    system = System(machine="rocket", checker_kind="pmpt", mem_mib=128)
     space = system.new_address_space()
     space.map(0x40_0000_0000, PAGE_SIZE)
     system.machine.cold_boot()
@@ -58,7 +49,7 @@ def run(sink: Optional[MetricsSink] = None) -> List[Dict[str, object]]:
     latencies = {}
     for kind in ("pmp", "pmpt", "hpmp"):
         latencies[kind] = float(
-            measure_latency(observe(System(machine="boom", checker_kind=kind, mem_mib=128)), "TC1").cycles
+            measure_latency(System(machine="boom", checker_kind=kind, mem_mib=128), "TC1").cycles
         )
     shape = ShapeAssessment(
         compare("TC1 cycles", latencies),
@@ -71,7 +62,7 @@ def run(sink: Optional[MetricsSink] = None) -> List[Dict[str, object]]:
     # Claim 4: TLB-hit equivalence (TLB inlining).
     hot = {}
     for kind in ("pmp", "pmpt", "hpmp"):
-        hot[kind] = measure_latency(observe(System(machine="boom", checker_kind=kind, mem_mib=128)), "TC4").cycles
+        hot[kind] = measure_latency(System(machine="boom", checker_kind=kind, mem_mib=128), "TC4").cycles
     ok = len(set(hot.values())) == 1
     rows.append(_claim("TLB-hit cost identical (Impl-2)", ok, str(hot)))
 
@@ -99,7 +90,7 @@ def run(sink: Optional[MetricsSink] = None) -> List[Dict[str, object]]:
 
     vcounts = {}
     for label, kind, gpt in (("pmp", "pmp", False), ("pmpt", "pmpt", False), ("hpmp", "hpmp", False), ("hpmp-gpt", "hpmp", True)):
-        system = observe(System(machine="rocket", checker_kind=kind, mem_mib=256))
+        system = System(machine="rocket", checker_kind=kind, mem_mib=256)
         vm = VirtualMachine(system, guest_pages=64, gpt_contiguous=gpt)
         vm.guest_map(0x40_0000_0000, GUEST_DRAM_BASE)
         system.machine.cold_boot()
@@ -107,29 +98,16 @@ def run(sink: Optional[MetricsSink] = None) -> List[Dict[str, object]]:
     ok = vcounts == {"pmp": 16, "pmpt": 48, "hpmp": 24, "hpmp-gpt": 18}
     rows.append(_claim("3D-walk refs 16/48/24/18 (§6)", ok, str(vcounts)))
 
-    if sink is not None and hook is not None:
-        emit_metrics("summary", "summary", rows, stats=[hook.stats], sink=sink)
-
     return rows
 
 
-def main(metrics_path: Optional[str] = None) -> str:
-    """Print the claim table; emit machine-readable metrics alongside it.
-
-    With *metrics_path*, the JSON payload (rows + engine counters and
-    latency/refs histograms) is written there; otherwise it is printed as
-    one ``metrics-json:`` line for downstream tooling to grep.
-    """
-    sink = MetricsSink("summary")
-    rows = run(sink)
-    text = format_table(["claim", "verdict", "detail"], rows, title="Headline-claim reproduction summary")
-    print(text)
-    if metrics_path is not None:
-        print(f"metrics written to {sink.write(metrics_path)}")
-    else:
-        print("metrics-json: " + sink.to_json(indent=None))
-    return text
-
-
-if __name__ == "__main__":
-    main()
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """The headline-claim table from the ``claims`` cell."""
+    rows = rows_by_cell["claims"]
+    return [
+        Table(
+            "summary",
+            format_table(["claim", "verdict", "detail"], rows, title="Headline-claim reproduction summary"),
+            (every("every headline claim PASSes", "claims", rows, lambda r: r["verdict"] == "PASS", "claim"),),
+        )
+    ]

@@ -12,7 +12,7 @@ from typing import Dict, List
 
 from ..common.params import boom
 from ..soc.hwcost import cost_report
-from .report import format_table
+from .report import RowsByCell, Table, every, format_table
 
 
 def run() -> List[Dict[str, object]]:
@@ -34,16 +34,22 @@ def run() -> List[Dict[str, object]]:
     return rows
 
 
-def main() -> str:
-    text = format_table(
-        ["resource", "baseline", "hpmp", "cost_%", "baseline+H", "hpmp+H", "cost+H_%"],
-        run(),
-        title="Table 4 (analytical): HPMP hardware cost "
-        "(paper FPGA: +0.94%/+1.18% LUT, +0.16%/+0.78% FF, 0 BRAM/DSP)",
-    )
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()
+def render(rows_by_cell: RowsByCell) -> List[Table]:
+    """Table 4 from the ``hw-cost`` cell."""
+    rows = rows_by_cell["hw-cost"]
+    return [
+        Table(
+            "table4_hw_cost",
+            format_table(
+                ["resource", "baseline", "hpmp", "cost_%", "baseline+H", "hpmp+H", "cost+H_%"],
+                rows,
+                title="Table 4 (analytical): HPMP hardware cost "
+                "(paper FPGA: +0.94%/+1.18% LUT, +0.16%/+0.78% FF, 0 BRAM/DSP)",
+            ),
+            (
+                every("hw cost: 0 < cost_% < 2", "hw-cost", rows, lambda r: 0.0 < r["cost_%"] < 2.0, "resource"),
+                every("hw cost: cost+H_% <= cost_% + 0.5", "hw-cost", rows,
+                      lambda r: r["cost+H_%"] <= r["cost_%"] + 0.5, "resource"),
+            ),
+        )
+    ]

@@ -1,4 +1,4 @@
-"""The ``python -m repro run`` entry point: orchestrate a campaign.
+"""The ``python -m repro run`` and ``report`` entry points.
 
 Typical invocations::
 
@@ -6,31 +6,39 @@ Typical invocations::
     python -m repro run --jobs 2 --filter fig02   # one figure's cells
     python -m repro run --resume                  # skip cached cells
     python -m repro run --resume --baseline benchmarks/results/baseline_manifest.json
+    python -m repro report                        # tables + claims from the last run
 
-Outputs: one JSON payload per cell in the content-addressed results store,
-a run manifest, and ``BENCH_summary.json`` at the invocation root so the
-perf trajectory accumulates across revisions.  Exit status: 0 on a clean
-campaign (and clean gate), 1 when any cell failed or the regression gate
-found drift, 2 on usage errors.
+``run`` outputs one JSON payload per cell in the content-addressed results
+store, a run manifest, and ``BENCH_summary.json`` at the invocation root so
+the perf trajectory accumulates across revisions.  ``report`` renders every
+experiment whose cells all succeeded in a manifest into
+``benchmarks/results/*.txt`` and checks the shape claims next to each table.
+Exit status: 0 on a clean campaign (clean gate, every claim holds), 1 when a
+cell failed, the regression gate found drift or a claim failed, 2 on usage
+errors.  Every failure prints a copy-paste repro line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..common.stats import StatGroup
-from .manifest import STATUS_CACHED, CellRecord, RunManifest
+from ..experiments import ALL_EXPERIMENTS, SHARDS
+from ..experiments.report import Table
+from .manifest import CellRecord, RunManifest
 from .pool import CampaignPool, available_cpus, default_jobs
-from .regress import gate
+from .regress import _stored_rows, gate
 from .store import DEFAULT_STORE_DIR, ResultStore
-from .tasks import TELEMETRY_LEVELS, TaskSpec, campaign_tasks
+from .tasks import TELEMETRY_LEVELS, campaign_tasks, repro_line
 
 DEFAULT_MANIFEST = "benchmarks/results/run_manifest.json"
 DEFAULT_SUMMARY = "BENCH_summary.json"
+DEFAULT_TABLES = os.path.join("benchmarks", "results")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,8 +259,74 @@ def main(argv: Optional[List[str]] = None) -> int:
     for record in manifest.failed:
         tail = (record.error or "").strip().splitlines()
         print(f"FAILED {record.task_id} ({record.status}): {tail[-1] if tail else 'no detail'}", file=sys.stderr)
+        print(f"  repro: {repro_line(record.task_id)}", file=sys.stderr)
 
     exit_code = 1 if manifest.failed else 0
     if args.baseline:
         exit_code = max(exit_code, gate(args.baseline, manifest, store))
     return exit_code
+
+
+def print_claims(experiment: str, tables: Sequence[Table]) -> int:
+    """Print every claim's verdict, a failure with its cell's repro line;
+    returns the number of failed claims."""
+    failed = 0
+    for table in tables:
+        for claim in table.claims:
+            task = f"{experiment}/{claim.cell}" if claim.cell else experiment
+            if claim.ok:
+                print(f"  PASS  {task}: {claim.name}")
+                continue
+            failed += 1
+            print(f"  FAIL  {task}: {claim.name}" + (f" ({claim.detail})" if claim.detail else ""))
+            print(f"        repro: {repro_line(task)}")
+    return failed
+
+
+def report_main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro report``: every table from one campaign's rows."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro report",
+        description="Render the results tables from a campaign's stored rows and check their claims.",
+    )
+    parser.add_argument("--manifest", default=DEFAULT_MANIFEST, metavar="PATH", help=f"run manifest to read (default {DEFAULT_MANIFEST})")
+    parser.add_argument("--store", default=DEFAULT_STORE_DIR, metavar="DIR", help=f"results store holding its rows (default {DEFAULT_STORE_DIR})")
+    parser.add_argument("--out", default=DEFAULT_TABLES, metavar="DIR", help=f"where to write the .txt tables (default {DEFAULT_TABLES})")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        manifest = RunManifest.load(args.manifest)
+    except (OSError, ValueError) as exc:
+        print(f"report: cannot load manifest: {exc}", file=sys.stderr)
+        return 1
+    store = ResultStore(args.store)
+    records = {record.task_id: record for record in manifest.cells}
+    os.makedirs(args.out, exist_ok=True)
+    failures = claims = written = 0
+    skipped = []
+    for experiment, module in ALL_EXPERIMENTS.items():
+        cells = [records.get(f"{experiment}/{shard.name}") for shard in SHARDS[experiment]]
+        if any(record is None or record.failed for record in cells):
+            skipped.append(experiment)
+            continue
+        rows_by_cell = {record.shard: _stored_rows(store, record) for record in cells}
+        missing = [record.task_id for record in cells if rows_by_cell[record.shard] is None]
+        for task_id in missing:
+            print(f"FAILED {task_id}: no rows in {args.store} matching the manifest's digest", file=sys.stderr)
+            print(f"  repro: {repro_line(task_id)}", file=sys.stderr)
+        if missing:
+            failures += len(missing)
+            continue
+        tables = module.render(rows_by_cell)
+        for table in tables:
+            with open(os.path.join(args.out, f"{table.name}.txt"), "w") as stream:
+                stream.write(table.text + "\n")
+        written += len(tables)
+        claims += sum(len(table.claims) for table in tables)
+        failures += print_claims(experiment, tables)
+    print(f"report: {written} tables written to {args.out}; {claims} claims checked, {failures} failure(s)")
+    if skipped:
+        print(f"  not rendered (a cell missing or failed in {args.manifest}): {', '.join(skipped)}")
+    return 1 if failures else 0

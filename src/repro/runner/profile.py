@@ -91,10 +91,11 @@ def _run_target(target: str) -> None:
         execute(_cell_spec(target), telemetry="off")
         return
     from ..experiments import ALL_EXPERIMENTS
+    from .tasks import run_experiment
 
     if target not in ALL_EXPERIMENTS:
         raise SystemExit(f"unknown experiment id: {target!r} (see python -m repro list)")
-    ALL_EXPERIMENTS[target].main()
+    run_experiment(target)
 
 
 def _stats_rows(stats: pstats.Stats, sort: str, top: int) -> List[Dict[str, object]]:

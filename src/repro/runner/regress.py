@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .manifest import CellRecord, RunManifest
 from .store import ResultStore
+from .tasks import repro_line
 
 #: Cap on expanded value diffs per cell, to keep gate output readable.
 MAX_VALUE_DIFFS = 20
@@ -142,4 +143,6 @@ def gate(
     emit(f"regression gate: DRIFT — {len(drifts)} difference(s) against {baseline_path}:")
     for drift in drifts:
         emit(f"  {drift}")
+    for task_id in dict.fromkeys(drift.task_id for drift in drifts):
+        emit(f"  repro: {repro_line(task_id, baseline_path)}")
     return 1

@@ -113,6 +113,24 @@ def campaign_tasks(filters: Sequence[str] = ()) -> List[TaskSpec]:
     return tasks
 
 
+def run_experiment(experiment: str) -> Dict[str, List[Dict[str, object]]]:
+    """Run every cell of *experiment* in-process and whole (no pool, no
+    store, no sub-shards); returns its rows by shard name, in declaration
+    order — what the experiment's ``render`` reads."""
+    return {
+        spec.shard: execute(spec, telemetry="off")[0]
+        for spec in campaign_tasks()
+        if spec.experiment == experiment
+    }
+
+
+def repro_line(task_id: str, baseline: Optional[str] = None) -> str:
+    """The copy-paste command that re-runs one cell (or, for a bare
+    experiment id, its cells) alone, inline and unsharded."""
+    line = f"PYTHONPATH=src python -m repro run --jobs 1 --shard-cells off --filter {task_id}"
+    return f"{line} --baseline {baseline}" if baseline else line
+
+
 def resolve(spec: TaskSpec) -> Callable[..., List[Dict[str, object]]]:
     """Import the spec's module and return its row-producing callable."""
     module = importlib.import_module(spec.module)

@@ -33,6 +33,7 @@ class TestListAndDispatch:
         assert main(["fig02"]) == 0
         out = capsys.readouterr().out
         assert "sv39" in out and "===== fig02 =====" in out
+        assert "PASS  fig02/counts: sv39 pmp/pmpt/hpmp refs = 4/12/6" in out
 
     def test_unknown_id_exits_2_with_usage(self, capsys):
         assert main(["fig99"]) == 2
@@ -131,6 +132,18 @@ class TestRunSubcommand:
         manifest2 = json.loads(manifest2_path.read_text())
         assert manifest2["totals"]["cached"] == 1 and manifest2["totals"]["ok"] == 0
         assert "regression gate: OK" in out
+
+    def test_failed_cell_prints_repro_line(self, tmp_path, capsys, monkeypatch):
+        from repro.runner import TaskSpec, cli
+
+        crash = TaskSpec("self/crash", "self", "crash", "repro.runner.tasks", "_selftest_crash", {})
+        monkeypatch.setattr(cli, "campaign_tasks", lambda filters: [crash])
+        args = ["run", "--jobs", "1", "--retries", "0", "--store", str(tmp_path / "store"),
+                "--manifest", str(tmp_path / "m.json"), "--summary", str(tmp_path / "s.json")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "FAILED self/crash (error): RuntimeError: boom" in err
+        assert "  repro: PYTHONPATH=src python -m repro run --jobs 1 --shard-cells off --filter self/crash\n" in err
 
     def test_run_list_cells(self, capsys):
         assert main(["run", "--list-cells", "--filter", "fig10"]) == 0

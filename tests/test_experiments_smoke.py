@@ -19,13 +19,14 @@ from repro.experiments import (
     table4_hw,
 )
 from repro.experiments.report import format_table
+from repro.runner.tasks import run_experiment
 
 
 class TestRegistry:
     def test_all_experiments_registered(self):
         assert len(ALL_EXPERIMENTS) == 16
         for module in ALL_EXPERIMENTS.values():
-            assert hasattr(module, "main")
+            assert hasattr(module, "render") and not hasattr(module, "main")
 
     def test_summary_headline_claims_pass(self):
         from repro.experiments import summary
@@ -134,10 +135,11 @@ class TestRuns:
 
 class TestMainsRender:
     @pytest.mark.parametrize("module", [fig02_counts, table4_hw])
-    def test_main_returns_rendered_table(self, module, capsys):
-        text = module.main()
-        assert "-" in text
-        assert capsys.readouterr().out.strip() != ""
+    def test_main_returns_rendered_table(self, module):
+        (experiment,) = [name for name, m in ALL_EXPERIMENTS.items() if m is module]
+        (table,) = module.render(run_experiment(experiment))
+        assert "-" in table.text and table.claims
+        assert all(claim.ok for claim in table.claims)
 
     def test_format_table_used_everywhere(self):
         text = format_table(["a"], [{"a": 1}])

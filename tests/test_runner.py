@@ -24,6 +24,7 @@ from repro.runner import (
     campaign_tasks,
     compare_manifests,
     execute,
+    gate,
 )
 from repro.runner.manifest import STATUS_ERROR, STATUS_OK
 
@@ -310,6 +311,14 @@ class TestRegressionGate:
         drift = drifts[0]
         assert drift.task_id == "self/ok" and drift.kind == "rows"
         assert "'value': 7 -> 8" in drift.detail
+
+    def test_drift_prints_repro_line_with_baseline(self, tmp_path):
+        store, baseline = self._run(tmp_path, "a", value=7)
+        _, current = self._run(tmp_path, "b", value=8)
+        path = baseline.save(str(tmp_path / "baseline.json"))
+        lines = []
+        assert gate(path, current, store, emit=lines.append) == 1
+        assert lines[-1] == f"  repro: PYTHONPATH=src python -m repro run --jobs 1 --shard-cells off --filter self/ok --baseline {path}"
 
     def test_newly_failing_cell_is_drift(self, tmp_path):
         store, baseline = self._run(tmp_path, "a")
