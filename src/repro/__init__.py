@@ -30,7 +30,6 @@ from .common import (
 from .engine import (
     EngineHook,
     HistogramHook,
-    MetricsSink,
     RecordingHook,
     RefKind,
     ReferenceEngine,
@@ -61,7 +60,6 @@ __all__ = [
     "Machine",
     "MachineParams",
     "MemRegion",
-    "MetricsSink",
     "PMPChecker",
     "PMPEntry",
     "PMPRegisterFile",

@@ -18,8 +18,9 @@ consolidation story hinges on:
   (:meth:`FrameAllocator.fragmentation`), sampled lazily at teardown sync
   points so the allocation hot path never pays for the gauge.
 
-Work quanta are emitted as ``access_run`` spans, so block mode carries the
-whole horizon; a thousand lifecycles stay a seconds-scale simulation.
+Work quanta are emitted as ``access_run`` spans (a random write is one
+scalar access), so block mode carries the whole horizon; a thousand
+lifecycles stay a seconds-scale simulation.
 
 Determinism: a node is a pure function of ``(scheme, machine, mem_mib,
 seed, trace)``.  All scheduling, admission and teardown decisions are
@@ -237,12 +238,8 @@ class CloudNode:
             remaining -= count
             refs += count
         for _ in range(profile.rand_per_quantum):
-            cycles += self.runtime.access_run(
-                handle,
-                ENCLAVE_HEAP_VA + tenant.rng.randrange(heap_bytes // 8) * 8,
-                0,
-                1,
-                AccessType.WRITE,
+            cycles += self.runtime.access(
+                handle, ENCLAVE_HEAP_VA + tenant.rng.randrange(heap_bytes // 8) * 8, AccessType.WRITE
             )
             refs += 1
         cycles += refs * profile.compute_per_access

@@ -6,7 +6,6 @@
   spans for the fused bulk path (state-identical to scalar execution).
 * :class:`EngineHook` and friends — pluggable observability over the
   reference stream (zero-cost no-op default).
-* :class:`MetricsSink` — machine-readable per-figure metrics export.
 """
 
 from .block import AccessBlock, block_mode_enabled, set_block_mode
@@ -17,7 +16,6 @@ from .core import (
     unregister_default_hook_factory,
 )
 from .hooks import AccessStatsHook, EngineHook, HistogramHook, RecordingHook, RefKind, ReferenceEvent
-from .metrics import MetricsSink
 
 __all__ = [
     "AccessBlock",
@@ -25,7 +23,6 @@ __all__ = [
     "Account",
     "EngineHook",
     "HistogramHook",
-    "MetricsSink",
     "RecordingHook",
     "RefKind",
     "ReferenceEngine",

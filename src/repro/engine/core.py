@@ -134,7 +134,6 @@ class ReferenceEngine:
         "_hooks",
         "_ref_hooks",
         "_access_hooks",
-        "_block_hooks",
         "_fill_hooks",
         "_fault_hooks",
         "_checker_hooks",
@@ -156,7 +155,6 @@ class ReferenceEngine:
         self._hooks: Tuple[EngineHook, ...] = ()
         self._ref_hooks: Tuple[EngineHook, ...] = ()
         self._access_hooks: Tuple[EngineHook, ...] = ()
-        self._block_hooks: Tuple[EngineHook, ...] = ()
         self._fill_hooks: Tuple[EngineHook, ...] = ()
         self._fault_hooks: Tuple[EngineHook, ...] = ()
         self._checker_hooks: Tuple[EngineHook, ...] = ()
@@ -187,11 +185,6 @@ class ReferenceEngine:
     def wants_accesses(self) -> bool:
         """True when some hook overrides ``on_access`` (guards :meth:`access_done`)."""
         return bool(self._access_hooks)
-
-    @property
-    def wants_blocks(self) -> bool:
-        """True when some hook overrides ``on_block`` (guards :meth:`block_done`)."""
-        return bool(self._block_hooks)
 
     @property
     def wants_tlb_fills(self) -> bool:
@@ -236,7 +229,6 @@ class ReferenceEngine:
         base = EngineHook
         self._ref_hooks = tuple(h for h in hooks if type(h).on_reference is not base.on_reference)
         self._access_hooks = tuple(h for h in hooks if type(h).on_access is not base.on_access)
-        self._block_hooks = tuple(h for h in hooks if type(h).on_block is not base.on_block)
         self._fill_hooks = tuple(h for h in hooks if type(h).on_tlb_fill is not base.on_tlb_fill)
         self._fault_hooks = tuple(h for h in hooks if type(h).on_fault is not base.on_fault)
         self._checker_hooks = tuple(h for h in hooks if type(h).on_checker is not base.on_checker)
@@ -342,11 +334,6 @@ class ReferenceEngine:
         """Publish a completed access (callers guard on :attr:`wants_accesses`)."""
         for hook in self._access_hooks:
             hook.on_access(va, access, cycles, tlb_hit, refs)
-
-    def block_done(self, va: int, stride: int, count: int, access: AccessType, cycles: int) -> None:
-        """Publish a fused bulk charge (callers guard on :attr:`wants_blocks`)."""
-        for hook in self._block_hooks:
-            hook.on_block(va, stride, count, access, cycles)
 
     def tlb_filled(self, entry, which: str = "dtlb") -> None:
         """Publish a TLB fill (callers guard on :attr:`wants_tlb_fills`)."""

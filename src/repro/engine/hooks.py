@@ -16,8 +16,16 @@ Hooks are the pluggable observers of that stream:
   machine's inlined-hit fast path) pays nothing.  The campaign runner's
   default telemetry.
 * :class:`HistogramHook` — aggregates the full stream into latency / refs
-  histograms (see :class:`repro.common.stats.Histogram`) suitable for
-  machine-readable export through :class:`repro.engine.metrics.MetricsSink`.
+  histograms (see :class:`repro.common.stats.Histogram`), exported as JSON
+  by :meth:`StatGroup.to_json <repro.common.stats.StatGroup.to_json>`.
+
+There are no block-level events.  The run loop
+(:meth:`Hart.access_run <repro.soc.machine.Hart.access_run>`) fuses a
+chunk of references into one charge only while no hook overrides
+``on_reference`` or ``on_access``, so a hook that overrides either sees
+every reference or access individually.  A hook that overrides neither
+keeps fusion on and sees the same events in both modes: a fused chunk
+fills no TLB and raises no fault.
 
 Event kinds (:class:`RefKind`) name *who issued* a memory reference — the
 paper's central accounting (Fig 2's 4/12/6, Fig 13's 16/48/24/18):
@@ -86,18 +94,6 @@ class EngineHook:
     def on_access(self, va: int, access: AccessType, cycles: int, tlb_hit: bool, refs: int) -> None:
         """One full timed access completed (machine or guest)."""
 
-    def on_block(self, va: int, stride: int, count: int, access: AccessType, cycles: int) -> None:
-        """A fused bulk charge covered *count* references in one pass.
-
-        Fired by the machine's block path (see :mod:`repro.engine.block`)
-        after it prices a run chunk of ``count`` same-page, same-permission
-        references starting at ``va`` with byte ``stride``.  The chunk is
-        state-identical to ``count`` scalar accesses; a hook that needs the
-        individual references instead should override :meth:`on_reference`
-        or :meth:`on_access` — either forces every access through the
-        scalar pipeline, where the per-event callbacks fire as usual.
-        """
-
     def on_tlb_fill(self, entry, which: str = "dtlb") -> None:
         """A TLB was filled (``which``: ``dtlb`` / ``combined`` / ``gstage``)."""
 
@@ -122,15 +118,11 @@ class RecordingHook(EngineHook):
     def __init__(self) -> None:
         self.references: List[ReferenceEvent] = []
         self.accesses: List[Tuple[int, AccessType, int, bool, int]] = []
-        self.blocks: List[Tuple[int, int, int, AccessType, int]] = []
         self.tlb_fills: List[Tuple[object, str]] = []
         self.faults: List[BaseException] = []
 
     def on_reference(self, kind: RefKind, paddr: int, cycles: int) -> None:
         self.references.append(ReferenceEvent(kind, paddr, cycles))
-
-    def on_block(self, va: int, stride: int, count: int, access: AccessType, cycles: int) -> None:
-        self.blocks.append((va, stride, count, access, cycles))
 
     def on_access(self, va: int, access: AccessType, cycles: int, tlb_hit: bool, refs: int) -> None:
         self.accesses.append((va, access, cycles, tlb_hit, refs))
@@ -147,7 +139,6 @@ class RecordingHook(EngineHook):
     def clear(self) -> None:
         self.references.clear()
         self.accesses.clear()
-        self.blocks.clear()
         self.tlb_fills.clear()
         self.faults.clear()
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..common.params import machine_params
 from ..common.types import KIB, PAGE_SIZE
 from ..isolation.pmptable import MODE_2LEVEL, MODE_3LEVEL, MODE_FLAT
 from ..soc.system import System
 from ..tee.monitor import SecureMonitor
-from ..workloads.microbench import run_fragmentation
+from ..workloads.microbench import FRAGMENTED_VA_STRIDE, run_fragmentation
 from .report import Claim, RowsByCell, Table, format_table
 
 PROBE_VA = 0x40_0000_0000
@@ -76,25 +77,12 @@ def run_pmptw_cache_sweep(machine: str = "rocket", sizes=(0, 2, 4, 8, 16, 32)) -
     """Fragmented-VA latency vs PMPTW-Cache entries (extends Figure 16)."""
     rows = []
     for entries in sizes:
-        system_params_hack = entries  # entries==0 -> disabled
-        result = run_fragmentation(
-            "pmpt",
-            "Fragmented-VA",
-            pa_fragmented=True,
-            machine=machine,
-            num_pages=48,
-            pmptw_cache_enabled=entries > 0,
-        )
         if entries > 0:
-            # Re-run with the exact size (run_fragmentation uses params default 8).
-            from ..common.params import machine_params
-
+            # The exact size (run_fragmentation uses the params default of 8).
             params = machine_params(machine).with_(pmptw_cache_entries=entries, pmptw_cache_enabled=True)
             system = System(params_override=params, checker_kind="pmpt", mem_mib=256, scatter_data_frames=True,
                             pmptw_cache_enabled=True)
             space = system.new_address_space()
-            from ..workloads.microbench import FRAGMENTED_VA_STRIDE
-
             vas = [0x10_0000_0000 + i * FRAGMENTED_VA_STRIDE for i in range(48)]
             for va in vas:
                 space.map(va, PAGE_SIZE, contiguous_pa=False)
@@ -102,7 +90,14 @@ def run_pmptw_cache_sweep(machine: str = "rocket", sizes=(0, 2, 4, 8, 16, 32)) -
             total = sum(system.access(space, va).cycles for va in vas)
             mean = total / len(vas)
         else:
-            mean = result.mean_cycles
+            mean = run_fragmentation(
+                "pmpt",
+                "Fragmented-VA",
+                pa_fragmented=True,
+                machine=machine,
+                num_pages=48,
+                pmptw_cache_enabled=False,
+            ).mean_cycles
         rows.append({"pmptw_cache_entries": entries, "mean_cycles_per_access": round(mean, 1)})
     return rows
 

@@ -46,7 +46,7 @@ def _measure_case(system: System, vm: VirtualMachine, case: str) -> int:
     elif case == "TC3":
         vm.guest_access(PROBE_GVA - PAGE_SIZE)
         vm.guest_access(PROBE_GVA)
-        vm.combined_tlb.flush_page(PROBE_GVA)
+        vm.tlb.flush_page(PROBE_GVA)
     elif case == "TC4":
         vm.guest_access(PROBE_GVA)
         vm.guest_access(PROBE_GVA)

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
-
-from ..engine import MetricsSink
-from ..engine.metrics import _plain
-from ..common.stats import StatGroup
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Mapping[str, object]], title: str = "") -> str:
@@ -65,6 +61,8 @@ def every(name: str, cell: str, rows: Sequence[Mapping[str, object]], test: Call
 
 
 def _format_cell(value: object) -> str:
+    if value is None:
+        return "-"
     if isinstance(value, float):
         return f"{value:.1f}"
     return str(value)
@@ -82,31 +80,6 @@ def normalize(rows: List[Dict[str, object]], value_keys: Sequence[str], baseline
     return out
 
 
-def emit_metrics(
-    label: str,
-    figure: str,
-    rows: Iterable[Mapping[str, object]],
-    stats: Iterable[StatGroup] = (),
-    path: Optional[str] = None,
-    sink: Optional[MetricsSink] = None,
-) -> MetricsSink:
-    """Collect a figure's rows (and stat groups) into a :class:`MetricsSink`.
-
-    The machine-readable counterpart of :func:`format_table`: the same rows
-    land in a JSON document alongside counters and histograms from the
-    engine's observability hooks.  Pass an existing *sink* to accumulate
-    several figures into one payload; pass *path* to write it out.
-    """
-    if sink is None:
-        sink = MetricsSink(label)
-    sink.record_rows(figure, rows)
-    for group in stats:
-        sink.record_stats(figure, group)
-    if path is not None:
-        sink.write(path)
-    return sink
-
-
 def concat_rows(parts: Sequence[List[Dict[str, object]]], **_kwargs: object) -> List[Dict[str, object]]:
     """Sub-shard merge for cells whose units are row-disjoint: the per-unit
     row lists concatenated in partition order.
@@ -121,8 +94,15 @@ def concat_rows(parts: Sequence[List[Dict[str, object]]], **_kwargs: object) -> 
     return [row for part in parts for row in part]
 
 
+def _plain(value: object) -> Union[int, float, str, bool, None]:
+    """Coerce a cell to a JSON-safe scalar."""
+    if isinstance(value, (int, float, str, bool)) or value is None:
+        return value
+    return str(value)
+
+
 def rows_to_jsonable(rows: Iterable[Mapping[str, object]]) -> List[Dict[str, object]]:
-    """Coerce experiment rows to JSON-safe dicts (same coercion the sink uses)."""
+    """Coerce experiment rows to JSON-safe dicts."""
     return [{str(k): _plain(v) for k, v in row.items()} for row in rows]
 
 

@@ -28,8 +28,14 @@ The check → charge → account stages themselves live in the shared
 Sv39/48/57 walker steps and the engine prices them, the same pipeline the
 virtualized (Sv39x4) path composes.  Observability hooks installed on the
 engine see every reference; with no hooks installed the path stays as cheap
-as a hand-rolled loop, and :meth:`run_trace` / :meth:`access_cycles` use a
-batched core that skips per-access :class:`AccessResult` allocation.
+as a hand-rolled loop.
+
+:meth:`Hart.access_run` is the one timed run loop.  :meth:`Hart.access_block`
+and :meth:`Hart.run_trace` (which run-length encodes a trace into a block)
+are adapters over it, and :class:`~repro.virt.nested.VirtualMachine` runs
+it with its combined TLB and 3D walk in place of the hart's TLB and walk.
+A single reference with a known address goes straight to the scalar step,
+``_access_core``.
 
 Out-of-order overlap is modelled by ``MachineParams.mlp_factor``: BOOM hides
 part of the walk latency behind other work for loads; stores' permission
@@ -145,11 +151,8 @@ class Hart:
         self._tlb_lookup = self.tlb.lookup
         self._hier_access = self.hierarchy.access
         # Block execution: resolved once at construction (the runner sets the
-        # process-wide mode before building the System), plus the bulk-path
-        # bindings access_run uses per chunk.
+        # process-wide mode before building the System).
         self.block_mode = block_mode_enabled() if block_mode is None else bool(block_mode)
-        self._tlb_peek = self.tlb.peek_l1
-        self._tlb_charge = self.tlb.charge_l1_hits
         # One pooled Account, reset per general-path access (see
         # engine.Account.reset): nothing retains it past the access.
         self._acct = Account()
@@ -384,21 +387,6 @@ class Hart:
         )
         return AccessResult(cycles, paddr, tlb_hit, pt_refs, checker_refs, 1)
 
-    def access_cycles(
-        self,
-        page_table: PageTable,
-        va: int,
-        access: AccessType = AccessType.READ,
-        priv: PrivilegeMode = PrivilegeMode.USER,
-        asid: int = 0,
-    ) -> int:
-        """Like :meth:`access` but returns only the cycle cost.
-
-        The allocation-free fast path for tight workload loops (the GAP /
-        RV8 / Redis models issue millions of accesses and only sum cycles).
-        """
-        return self._access_core(page_table, va, access, priv, asid)[0]
-
     def access_run(
         self,
         page_table: PageTable,
@@ -413,131 +401,87 @@ class Hart:
         """Charge *count* references at ``va, va+stride, ...`` in one call.
 
         Returns ``(cycles, tlb_hits, pt_refs, checker_refs)`` — exactly what
-        *count* scalar :meth:`access` calls would have accumulated, because
-        the fused charge only ever fires in the invariant regime: L1-TLB hit
-        with an inlined checker permission that allows the access, chunked at
-        page boundaries, with the per-line residency handled by
-        :meth:`~repro.mem.hierarchy.MemoryHierarchy.access_run`.  Any
-        reference outside the regime (TLB miss, L2-only residency, missing
-        inlined permission, permission denial — including the fault it must
-        raise with exact scalar state) is delegated to the scalar core one
-        access at a time, then the run resumes.
+        *count* scalar :meth:`access` calls would have accumulated.  Each pass
+        of the loop either takes one fused charge for every reference left on
+        the current page or one scalar step.  The fused charge fires only in
+        the invariant regime: an L1-TLB hit whose entry carries an inlined
+        checker permission, page and checker permission both allowing the
+        access; the per-line residency is handled by
+        :meth:`~repro.mem.hierarchy.MemoryHierarchy.access_run`.  Everything
+        else — a TLB miss, L2-only residency, a permission denial (whose
+        fault the scalar step raises with exact scalar state), a lone
+        reference on a page — is one scalar step, then the run resumes.  A
+        zero-stride run always starts with a scalar step: it leaves the line
+        at MRU in the L1, so the rest of the run is one fused charge through
+        :meth:`~repro.mem.hierarchy.MemoryHierarchy.mru_run`.
 
-        The bulk path is skipped entirely — a plain scalar loop runs — when
-        block mode is off, the stride is negative (runs are emitted
-        ascending; a negative stride would walk chunks backwards through a
-        line), TLB inlining is disabled, or a per-reference/per-access hook
-        is installed (those hooks must observe each reference individually).
+        This is the only timed run loop.  Of ``self`` it reads only
+        ``engine``, ``block_mode``, ``params``, ``tlb``, ``hierarchy``, the
+        scalar step ``_access_core`` and the ``_s_accesses`` / ``_s_cycles``
+        counters, so :class:`~repro.virt.nested.VirtualMachine` runs it on
+        itself, with its combined TLB as ``tlb`` and its 3D walk as
+        ``_access_core``.
         """
-        if count <= 0:
-            return (0, 0, 0, 0)
-        core = self._access_core
-        if count == 1:
-            # A one-reference run is the scalar access — skip the regime
-            # machinery entirely (workloads emit many singleton runs).
-            c, _pa, h, p, k = core(page_table, va, access, priv, asid, extra_cycles)
-            return c, (1 if h else 0), p, k
+        step = self._access_core
         engine = self.engine
-        if (
-            not self.block_mode
-            or stride < 0
-            or not self.params.tlb_inlining
-            or engine._ref_hooks
-            or engine._access_hooks
-        ):
-            cycles = hits = pt = ck = 0
-            for i in range(count):
-                c, _pa, h, p, k = core(page_table, va + i * stride, access, priv, asid, extra_cycles)
-                cycles += c
-                pt += p
-                ck += k
-                if h:
-                    hits += 1
-            return cycles, hits, pt, ck
-        peek = self._tlb_peek
-        charge = self._tlb_charge
-        hier_run = self.hierarchy.access_run
+        # The fuse guard, its only copy.  A negative stride would walk chunks
+        # backwards through a line; without TLB inlining every hit re-checks
+        # its page; a per-reference or per-access hook must see every one.
+        fuse = (
+            self.block_mode
+            and stride >= 0
+            and self.params.tlb_inlining
+            and not engine._ref_hooks
+            and not engine._access_hooks
+        )
+        tlb = self.tlb
         is_fetch = access is AccessType.FETCH
-        block_hooks = engine._block_hooks
-        total = 0
-        hits = pt_refs = checker_refs = 0
+        total = hits = pt_refs = checker_refs = 0
         i = 0
-        if stride == 0:
-            # Zero-stride run: one scalar access establishes everything the
-            # rest of the run needs — the L1-TLB entry (inserted on miss),
-            # the inlined checker permission (set by leaf_check), and the
-            # line at MRU in the L1 cache.  The remaining count-1 identical
-            # references are then L1-TLB + MRU-line hits by construction,
-            # whether or not the first reference hit.  The access type was
-            # just allowed (core returned instead of faulting), so no perm
-            # re-check is needed.
-            c, _pa, h, p, k = core(page_table, va, access, priv, asid, extra_cycles)
+        while i < count:
+            cur = va + i * stride
+            if fuse:
+                if stride:
+                    # References still on cur's page: cur, cur+stride, ... < page end.
+                    n = (PAGE_SIZE - (cur & PAGE_MASK) + stride - 1) // stride
+                    if n > count - i:
+                        n = count - i
+                    # A lone reference is cheaper as a scalar step.
+                    entry = tlb.peek_l1(cur, asid) if n > 1 else None
+                else:
+                    # The first reference takes the scalar step, which leaves
+                    # the line at MRU; the rest are one mru_run.
+                    n = count - i
+                    entry = tlb.peek_l1(cur, asid) if i else None
+                if entry is not None and entry.checker_perm is not None:
+                    perm = entry.perm
+                    checker_perm = entry.checker_perm
+                    if access is AccessType.READ:
+                        ok = perm.r and checker_perm.r
+                    elif access is AccessType.WRITE:
+                        ok = perm.w and checker_perm.w
+                    else:
+                        ok = perm.x and checker_perm.x
+                    if ok:
+                        cyc = tlb.charge_l1_hits(cur, asid, n) + n * extra_cycles
+                        if stride:
+                            paddr = (entry.ppn << PAGE_SHIFT) | (cur & PAGE_MASK)
+                            cyc += self.hierarchy.access_run(paddr, stride, n, is_fetch)
+                        else:
+                            cyc += self.hierarchy.mru_run(n, is_fetch)
+                        self._s_accesses += n
+                        self._s_cycles += cyc
+                        total += cyc
+                        hits += n
+                        i += n
+                        continue
+            c, _pa, h, p, k = step(page_table, cur, access, priv, asid, extra_cycles)
             total += c
             pt_refs += p
             checker_refs += k
             if h:
                 hits += 1
-            i = 1
-            entry = peek(va, asid)
-            if entry is not None and entry.checker_perm is not None:
-                n = count - 1
-                cyc = charge(va, asid, n) + n * extra_cycles
-                cyc += self.hierarchy.mru_run(n, is_fetch)
-                self._s_accesses += n
-                self._s_cycles += cyc
-                total += cyc
-                hits += n
-                if block_hooks:
-                    engine.block_done(va, 0, n, access, cyc)
-                return total, hits, pt_refs, checker_refs
-            # Checker perm not inlined (scheme without per-page perms):
-            # fall through to the generic loop for the remaining references.
-        while i < count:
-            cur = va + i * stride
-            entry = peek(cur, asid)
-            if entry is None or entry.checker_perm is None:
-                c, _pa, h, p, k = core(page_table, cur, access, priv, asid, extra_cycles)
-                total += c
-                pt_refs += p
-                checker_refs += k
-                if h:
-                    hits += 1
-                i += 1
-                continue
-            if stride:
-                # References still on cur's page: cur, cur+stride, ... < page end.
-                n = (PAGE_SIZE - (cur & PAGE_MASK) + stride - 1) // stride
-                if n > count - i:
-                    n = count - i
-            else:
-                n = count - i
-            perm = entry.perm
-            checker_perm = entry.checker_perm
-            if access is AccessType.READ:
-                ok = perm.r and checker_perm.r
-            elif access is AccessType.WRITE:
-                ok = perm.w and checker_perm.w
-            else:
-                ok = perm.x and checker_perm.x
-            if not ok:
-                # The scalar core raises the right fault with exact state.
-                c, _pa, h, p, k = core(page_table, cur, access, priv, asid, extra_cycles)
-                total += c
-                pt_refs += p
-                checker_refs += k
-                if h:
-                    hits += 1
-                i += 1
-                continue
-            cyc = charge(cur, asid, n) + n * extra_cycles
-            cyc += hier_run((entry.ppn << PAGE_SHIFT) | (cur & PAGE_MASK), stride, n, is_fetch)
-            self._s_accesses += n
-            self._s_cycles += cyc
-            hits += n
-            total += cyc
-            if block_hooks:
-                engine.block_done(cur, stride, n, access, cyc)
-            i += n
+            i += 1
         return total, hits, pt_refs, checker_refs
 
     def access_block(
@@ -581,34 +525,12 @@ class Hart:
         element, modelling the compute work between memory operations; it is
         accounted both in the result and in ``machine.stats`` (one path).
 
-        This is the batched fast path: a single loop over the engine core
-        with locals bound, no per-access :class:`AccessResult` allocation.
-        Under block mode it additionally run-length-encodes the trace on the
-        fly — consecutive same-type references with a constant non-negative
-        stride become one :meth:`access_run` call — which is state-identical
-        because access_run itself is (a fused charge only in the invariant
-        regime, scalar fallback everywhere else).
+        The trace is run-length encoded into an :class:`AccessBlock` —
+        consecutive same-type references with a constant non-negative stride
+        become one run — and charged by :meth:`access_block`, which is
+        state-identical to issuing the references one by one.
         """
-        core = self._access_core  # bind once; the loop is the hot path
-        cpa = compute_cycles_per_access
-        engine = self.engine
-        accesses = cycles = pt_refs = checker_refs = tlb_hits = 0
-        if (
-            not self.block_mode
-            or not self.params.tlb_inlining
-            or engine._ref_hooks
-            or engine._access_hooks
-        ):
-            for va, access in trace:
-                c, _paddr, hit, pt, ck = core(page_table, va, access, priv, asid, cpa)
-                accesses += 1
-                cycles += c
-                pt_refs += pt
-                checker_refs += ck
-                if hit:
-                    tlb_hits += 1
-            return TraceResult(accesses, cycles, pt_refs, checker_refs, tlb_hits)
-        run = self.access_run
+        block = AccessBlock()
         run_va = run_stride = run_count = last_va = 0
         run_access: Optional[AccessType] = None
         for va, access in trace:
@@ -624,24 +546,17 @@ class Hart:
                     last_va = va
                     continue
             if run_access is not None:
-                c, h, p, k = run(page_table, run_va, run_stride, run_count, run_access, priv, asid, cpa)
-                accesses += run_count
-                cycles += c
-                tlb_hits += h
-                pt_refs += p
-                checker_refs += k
+                block.run(run_va, run_stride, run_count, run_access)
             run_va = last_va = va
             run_access = access
             run_stride = 0
             run_count = 1
         if run_access is not None:
-            c, h, p, k = run(page_table, run_va, run_stride, run_count, run_access, priv, asid, cpa)
-            accesses += run_count
-            cycles += c
-            tlb_hits += h
-            pt_refs += p
-            checker_refs += k
-        return TraceResult(accesses, cycles, pt_refs, checker_refs, tlb_hits)
+            block.run(run_va, run_stride, run_count, run_access)
+        cycles, tlb_hits, pt_refs, checker_refs = self.access_block(
+            page_table, block, priv, asid, compute_cycles_per_access
+        )
+        return TraceResult(block.count, cycles, pt_refs, checker_refs, tlb_hits)
 
 
 class Machine(Hart):

@@ -391,10 +391,10 @@ def _check_footprints(monitor, oracle: MonitorOracle, system, report, flag, step
 
 
 def _check_timed_parity(system, space, vas, report, flag, step: int) -> None:
-    """Cold-walk cycle parity: access_cycles == access == hooked access.
+    """Cold-walk cycle parity: one-reference access_run == access == hooked access.
 
-    Hooks must never alter timing, and the result-only fast path must agree
-    with the allocation-free one; after a full flush all three are cold
+    Hooks must never alter timing, and the run loop must agree with the
+    result-returning scalar access; after a full flush all three are cold
     walks of identical state, so their cycle counts must match exactly.
     """
     machine = system.machine
@@ -402,9 +402,9 @@ def _check_timed_parity(system, space, vas, report, flag, step: int) -> None:
         report.checks += 1
         machine.cold_boot()
         try:
-            fast = machine.access_cycles(
-                space.page_table, va, AccessType.READ, PrivilegeMode.USER, space.asid
-            )
+            fast = machine.access_run(
+                space.page_table, va, 0, 1, AccessType.READ, PrivilegeMode.USER, space.asid
+            )[0]
         except AccessFault as exc:
             # The harness's working set lives outside every GMS, so the
             # current domain must always reach it; a fault here means an
@@ -429,7 +429,7 @@ def _check_timed_parity(system, space, vas, report, flag, step: int) -> None:
         if not fast == full == hooked:
             flag(
                 f"op {step}: cold-walk cycle parity broke at VA {va:#x}: "
-                f"access_cycles={fast}, access={full}, hooked={hooked}",
+                f"access_run={fast}, access={full}, hooked={hooked}",
                 op=step,
             )
 

@@ -76,18 +76,6 @@ class SelfCheckHook(EngineHook):
                 )
         self.stats.bump("data_checked", len(pending))
 
-    def on_block(self, va: int, stride: int, count: int, access: AccessType, cycles: int) -> None:
-        # Defensive only: this hook overrides on_reference, which forces
-        # every engine carrying a validator down the scalar path — the bulk
-        # charge never fires while a selfcheck is installed.  It still
-        # sanity-checks the event shape so a future caller that publishes
-        # blocks around the guard is caught.
-        self.stats.bump("blocks")
-        if count <= 0:
-            self._fail(f"bulk charge with non-positive count ({count}) at VA {va:#x}")
-        if cycles < 0:
-            self._fail(f"negative bulk cycles ({cycles}) at VA {va:#x}")
-
     def on_tlb_fill(self, entry, which: str = "dtlb") -> None:
         self.stats.bump("tlb_fills")
         checker = self.engine.checker

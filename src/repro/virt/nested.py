@@ -12,7 +12,9 @@ The timed path routes through the host machine's shared
 the data reference are priced by the same check → charge → account pipeline
 as the native path, tagged :data:`RefKind.GUEST_PT` / :data:`RefKind.NPT` /
 :data:`RefKind.DATA` so observability hooks can attribute every reference
-of the 3D walk.
+of the 3D walk.  Runs go through the hart's run loop,
+:meth:`Hart.access_run <repro.soc.machine.Hart.access_run>`, with the
+combined TLB and the 3D walk in place of the hart's TLB and walk.
 
 ``GuestMemoryView`` lets the stock :class:`~repro.paging.pagetable.PageTable`
 build *guest* page tables: it looks like a physical memory addressed by GPA
@@ -22,9 +24,10 @@ but stores through the backing map to host memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from ..common.errors import AlignmentError, GuestPageFault
+from ..common.errors import AccessFault, AlignmentError, GuestPageFault, PageFault
+from ..common.params import MachineParams
 from ..common.stats import StatGroup
 from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, Permission, PrivilegeMode
 from ..engine import Account, RefKind
@@ -32,6 +35,7 @@ from ..engine.block import AccessBlock
 from ..mem.physical import WORD_BYTES, PhysicalMemory
 from ..paging.pagetable import PageTable
 from ..paging.tlb import TLB, TLBEntry
+from ..soc.machine import Hart
 from ..soc.system import System
 
 S = PrivilegeMode.SUPERVISOR
@@ -135,6 +139,9 @@ class VirtualMachine:
         self.system = system
         self.machine = system.machine
         self.engine = system.machine.engine  # the shared reference pipeline
+        self.hierarchy = system.machine.hierarchy
+        # Latched at construction, as the host machine latches it.
+        self.block_mode = system.machine.block_mode
         self.view = GuestMemoryView(system.memory)
         self.gpt_contiguous = gpt_contiguous
         # The nested page table is a host page table over GPAs (Sv39x4 is
@@ -150,29 +157,37 @@ class VirtualMachine:
         # Guest page table over the guest-physical view.
         self._next_gpt_page = GUEST_PT_AREA
         self.guest_pt = PageTable(self.view, self._alloc_gpt_page, mode="sv39")  # type: ignore[arg-type]
-        # VS-stage (combined gva->hpa) and G-stage (gpa->hpa) TLBs.
+        # The combined VS-stage TLB (gva->hpa; the run loop's ``tlb``) and
+        # the G-stage TLB (gpa->hpa).
         params = system.params
-        self.combined_tlb = TLB(params.l1_tlb, params.l2_tlb)
+        self.tlb = TLB(params.l1_tlb, params.l2_tlb)
         self.g_tlb = TLB(params.l1_tlb, params.l2_tlb)
         # Deferred per-access statistics (published into ``stats`` on read)
         # plus one pooled Account reset per guest access — the 3D walk is
-        # the virtualized hot path.
+        # the virtualized hot path.  Misses are counted, as on the hart, so a
+        # fused charge bumps the same two counters here as there.
         self._s_accesses = 0
-        self._s_tlb_hits = 0
+        self._s_tlb_misses = 0
         self._s_cycles = 0
         self._s_refs = 0
         self._s_checker_refs = 0
         self.stats = StatGroup("vm", sync=self._publish_stats)
         self._acct = Account()
 
+    @property
+    def params(self) -> MachineParams:
+        """The host machine's current parameters (read by the run loop's guard)."""
+        return self.machine.params
+
     def _publish_stats(self) -> None:
         """Sync point: fold pending guest-access deltas into the StatGroup."""
         if self._s_accesses:
+            hits = self._s_accesses - self._s_tlb_misses
             self.stats.bump("accesses", self._s_accesses)
             self._s_accesses = 0
-        if self._s_tlb_hits:
-            self.stats.bump("tlb_hits", self._s_tlb_hits)
-            self._s_tlb_hits = 0
+            self._s_tlb_misses = 0
+            if hits:
+                self.stats.bump("tlb_hits", hits)
         if self._s_cycles:
             self.stats.bump("cycles", self._s_cycles)
             self._s_cycles = 0
@@ -212,13 +227,13 @@ class VirtualMachine:
 
     def hfence_vvma(self) -> int:
         """Flush VS-stage (combined) translations; G-stage survives."""
-        self.combined_tlb.flush()
+        self.tlb.flush()
         self.machine.pwc.flush()
         return self.system.params.tlb_flush_cycles
 
     def hfence_gvma(self) -> int:
         """Flush G-stage translations (and therefore combined ones too)."""
-        self.combined_tlb.flush()
+        self.tlb.flush()
         self.g_tlb.flush()
         self.machine.pwc.flush()
         return self.system.params.tlb_flush_cycles
@@ -248,30 +263,46 @@ class VirtualMachine:
             engine.tlb_filled(entry, "gstage")
         return walk.paddr
 
-    def access(self, gva: int, access: AccessType = AccessType.READ) -> GuestAccessResult:
-        """One timed guest memory access (the paper's hlv.d probe).
+    def _access_core(
+        self,
+        guest_pt: PageTable,
+        gva: int,
+        access: AccessType,
+        priv: PrivilegeMode,
+        asid: int,
+        extra_cycles: int = 0,
+    ) -> Tuple[int, int, bool, int, int]:
+        """The 3D walk: the run loop's scalar step on this VM.
 
-        The 3D walk as engine stages: every guest-PT step first resolves its
-        own GPA through the G stage (:data:`RefKind.NPT` references), then
-        is checked and read itself (:data:`RefKind.GUEST_PT`); the data GPA
-        takes one more G-stage resolve, the data-page check, and the data
-        reference.
+        Returns ``(cycles, hpa, combined_tlb_hit, table_refs, checker_refs)``,
+        the shape of the hart's step; ``table_refs`` counts guest-PT and
+        nested-PT references.  Every guest-PT step first resolves its own GPA
+        through the G stage (:data:`RefKind.NPT` references), then is checked
+        and read itself (:data:`RefKind.GUEST_PT`).  The guest PTE's R/W/X is
+        checked against the access type, then the data GPA takes one more
+        G-stage resolve, the data-page check (inlined into the combined-TLB
+        entry) and the data reference.  A combined-TLB hit checks both
+        permissions the entry carries and issues only the data reference.
         """
         engine = self.engine
         self._s_accesses += 1
         acct = self._acct.reset()
-        entry, cycles = self.combined_tlb.lookup(gva)
+        entry, cycles = self.tlb.lookup(gva, asid)
         if entry is not None:
+            if not entry.perm.allows(access):
+                raise engine.fault(PageFault(gva, f"page permission {entry.perm} denies {access.value}"))
+            if not entry.checker_perm.allows(access):
+                raise engine.fault(AccessFault(entry.ppn << PAGE_SHIFT, access.value, "inlined perm denies"))
             hpa = (entry.ppn << PAGE_SHIFT) | (gva & PAGE_MASK)
-            engine.data_ref(acct, hpa)
-            cycles += acct.data_cycles
-            self._s_tlb_hits += 1
+            engine.data_ref(acct, hpa, access is AccessType.FETCH)
+            cycles += acct.data_cycles + extra_cycles
             self._s_cycles += cycles
             if engine._access_hooks:
                 engine.access_done(gva, access, cycles, True, 1)
-            return GuestAccessResult(cycles, hpa, True, 1, 0)
+            return cycles, hpa, True, 0, 0
+        self._s_tlb_misses += 1
         try:
-            gwalk = self.guest_pt.walk(gva)
+            gwalk = guest_pt.walk(gva)
         except BaseException as exc:
             raise engine.fault(exc)
         nested_resolve = self._nested_resolve  # bound once: the 3D-walk loop
@@ -280,82 +311,49 @@ class VirtualMachine:
             # step.pte_addr is a GPA: translate it through the G stage...
             hpa_pte = nested_resolve(acct, step.pte_addr)
             # ...then check and read the guest PT page itself.
-            step_ref(acct, hpa_pte, RefKind.GUEST_PT, S)
+            step_ref(acct, hpa_pte, RefKind.GUEST_PT, priv)
+        if not gwalk.perm.allows(access):
+            raise engine.fault(PageFault(gva, f"page permission {gwalk.perm} denies {access.value}"))
         hpa_data = nested_resolve(acct, gwalk.paddr)
-        engine.leaf_check(acct, hpa_data & ~PAGE_MASK, access, S)
+        cost = engine.leaf_check(acct, hpa_data & ~PAGE_MASK, access, priv)
         entry = TLBEntry(
             vpn=gva >> PAGE_SHIFT,
             ppn=(hpa_data & ~PAGE_MASK) >> PAGE_SHIFT,
             perm=gwalk.perm,
             user=True,
+            asid=asid,
+            checker_perm=cost.perm,
         )
-        self.combined_tlb.fill(entry)
+        self.tlb.fill(entry)
         if engine._fill_hooks:
             engine.tlb_filled(entry, "combined")
-        engine.data_ref(acct, hpa_data)
-        cycles += acct.walk_cycles + acct.data_cycles
+        engine.data_ref(acct, hpa_data, access is AccessType.FETCH)
+        cycles += acct.walk_cycles + acct.data_cycles + extra_cycles
         refs = acct.total_refs
         self._s_cycles += cycles
         self._s_refs += refs
         self._s_checker_refs += acct.checker_refs
         if engine._access_hooks:
             engine.access_done(gva, access, cycles, False, refs)
-        return GuestAccessResult(cycles, hpa_data, False, refs, acct.checker_refs)
+        return cycles, hpa_data, False, acct.table_refs, acct.checker_refs
+
+    def access(self, gva: int, access: AccessType = AccessType.READ) -> GuestAccessResult:
+        """One timed guest memory access (the paper's hlv.d probe)."""
+        cycles, hpa, hit, table_refs, checker_refs = self._access_core(self.guest_pt, gva, access, S, 0)
+        return GuestAccessResult(cycles, hpa, hit, table_refs + checker_refs + 1, checker_refs)
+
+    #: The hart's run loop, run on this VM (see :meth:`access_run`).
+    _run = Hart.access_run
 
     def access_run(self, gva: int, stride: int, count: int, access: AccessType = AccessType.READ) -> int:
         """Charge *count* guest references at ``gva, gva+stride, ...``; returns cycles.
 
-        The virtualized counterpart of :meth:`Machine.access_run
-        <repro.soc.machine.Machine.access_run>`: a chunk whose combined-TLB
-        entry is L1-resident folds into one bulk charge (the scalar hit path
-        performs no permission check and touches no Account state that
-        outlives the access), and everything else — combined-TLB miss,
-        L2-only residency — goes through the scalar 3D walk one access at a
-        time.  Guarded by the host machine's block mode and hook set.
+        State-identical to *count* :meth:`access` calls: this is
+        :meth:`Hart.access_run <repro.soc.machine.Hart.access_run>`, run with
+        the combined TLB as ``self.tlb`` and the 3D walk as the scalar step,
+        under the host machine's block mode and hook set.
         """
-        if count <= 0:
-            return 0
-        machine = self.machine
-        engine = self.engine
-        if (
-            not machine.block_mode
-            or stride < 0
-            or engine._ref_hooks
-            or engine._access_hooks
-        ):
-            total = 0
-            for i in range(count):
-                total += self.access(gva + i * stride, access).cycles
-            return total
-        peek = self.combined_tlb.peek_l1
-        charge = self.combined_tlb.charge_l1_hits
-        hier_run = machine.hierarchy.access_run
-        block_hooks = engine._block_hooks
-        total = 0
-        i = 0
-        while i < count:
-            cur = gva + i * stride
-            entry = peek(cur)
-            if entry is None:
-                total += self.access(cur, access).cycles
-                i += 1
-                continue
-            if stride:
-                n = (PAGE_SIZE - (cur & PAGE_MASK) + stride - 1) // stride
-                if n > count - i:
-                    n = count - i
-            else:
-                n = count - i
-            cyc = charge(cur, 0, n)
-            cyc += hier_run((entry.ppn << PAGE_SHIFT) | (cur & PAGE_MASK), stride, n, False)
-            self._s_accesses += n
-            self._s_tlb_hits += n
-            self._s_cycles += cyc
-            total += cyc
-            if block_hooks:
-                engine.block_done(cur, stride, n, access, cyc)
-            i += n
-        return total
+        return self._run(self.guest_pt, gva, stride, count, access, S)[0]
 
     def access_block(self, block: AccessBlock) -> int:
         """Charge every run in *block* through :meth:`access_run`; returns cycles."""

@@ -104,8 +104,10 @@ class TraceRecorder(EngineHook):
 
     Installing on the machine's :class:`~repro.engine.ReferenceEngine`
     (rather than shadowing ``machine.access``) means the recorder sees all
-    timed paths uniformly: ``access``, the allocation-free
-    ``access_cycles`` used by workload harnesses, and ``run_trace``.
+    timed paths uniformly: ``access``, the scalar step that workload
+    harnesses call directly, and the run loop behind ``access_run``,
+    ``access_block`` and ``run_trace`` (an ``on_access`` hook keeps that
+    loop from fusing, so every access is recorded).
 
     Use as a context manager::
 

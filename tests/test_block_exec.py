@@ -248,16 +248,6 @@ class TestAccessBlockParity:
         assert len(block) == 0 and not block.runs
 
 
-class _BlockSpy(EngineHook):
-    """Overrides only on_block, so the fused paths stay eligible."""
-
-    def __init__(self):
-        self.spans = []
-
-    def on_block(self, va, stride, count, access, cycles):
-        self.spans.append((va, stride, count, access, cycles))
-
-
 class _RefSpy(EngineHook):
     """Overrides on_reference: installing it must force the scalar path."""
 
@@ -269,35 +259,37 @@ class _RefSpy(EngineHook):
 
 
 class TestHookDiscipline:
-    def test_block_hook_sees_fused_spans_only(self):
+    def test_warm_run_takes_fused_charge(self):
+        """A warm stride-8 run over two pages is two fused chunks: no scalar step."""
         system = build_system(True)
         space = system.new_address_space()
         space.map(VA, 4 * PAGE_SIZE, Permission.rw())
-        spy = _BlockSpy()
-        system.machine.engine.install_hook(spy)
-        _, hits, _, _ = system.machine.access_run(
-            space.page_table, VA, 8, 1024, AccessType.READ, PrivilegeMode.USER, space.asid
-        )
-        system.machine.engine.remove_hook(spy)
-        assert spy.spans, "bulk path should have fired and emitted block_done"
-        assert sum(s[2] for s in spy.spans) == hits  # fused refs only
-        assert all(s[1] == 8 for s in spy.spans)
+        machine = system.machine
+        run = (space.page_table, VA, 8, 1024, AccessType.READ, PrivilegeMode.USER, space.asid)
+        machine.access_run(*run)  # cold: one walk per page
+        steps = []
+        scalar_step = machine._access_core
+
+        def counting_step(*args):
+            steps.append(args[1])
+            return scalar_step(*args)
+
+        machine._access_core = counting_step
+        _, hits, _, _ = machine.access_run(*run)
+        assert hits == 1024
+        assert steps == []
 
     def test_reference_hook_forces_scalar(self):
         system = build_system(True)
         space = system.new_address_space()
         space.map(VA, 2 * PAGE_SIZE, Permission.rw())
         ref_spy = _RefSpy()
-        block_spy = _BlockSpy()
         system.machine.engine.install_hook(ref_spy)
-        system.machine.engine.install_hook(block_spy)
         system.machine.access_run(
             space.page_table, VA, 8, 50, AccessType.READ, PrivilegeMode.USER, space.asid
         )
         system.machine.engine.remove_hook(ref_spy)
-        system.machine.engine.remove_hook(block_spy)
         assert ref_spy.refs >= 50  # every reference observed individually
-        assert block_spy.spans == []  # no fused spans under a ref hook
 
 
 class TestVirtParity:
@@ -336,6 +328,39 @@ class TestVirtParity:
                 cycles += sum(vm.access(VA + PAGE_SIZE, AccessType.WRITE).cycles for _ in range(4))
             results[mode] = (cycles, state(system), vm.stats.snapshot())
         assert results[True] == results[False]
+
+    def test_vm_write_run_to_read_only_page_faults_like_scalar(self):
+        """A warm read-only guest page: the write run faults on its first
+        reference in both modes, from identical state."""
+        from repro.virt.nested import GUEST_DRAM_BASE, VirtualMachine
+
+        results = {}
+        for mode in MODES:
+            system = build_system(mode, kind="hpmp", mem_mib=256)
+            vm = VirtualMachine(system, guest_pages=128)
+            vm.guest_map(VA, GUEST_DRAM_BASE + 8 * PAGE_SIZE, Permission(r=True))
+            cycles = vm.access_run(VA, 8, 64, AccessType.READ)
+            with pytest.raises(PageFault, match="denies w"):
+                vm.access_run(VA, 8, 64, AccessType.WRITE)
+            results[mode] = (cycles, state(system), vm.stats.snapshot())
+        assert results[True] == results[False]
+
+    def test_vm_fetch_run_parity_charges_l1i(self):
+        from repro.virt.nested import GUEST_DRAM_BASE, VirtualMachine
+
+        results = {}
+        for mode in MODES:
+            system = build_system(mode, kind="hpmp", mem_mib=256)
+            vm = VirtualMachine(system, guest_pages=128)
+            vm.guest_map(VA, GUEST_DRAM_BASE + 8 * PAGE_SIZE, Permission.rx())
+            if mode:
+                cycles = vm.access_run(VA, 4, 700, AccessType.FETCH)
+            else:
+                cycles = sum(vm.access(VA + 4 * i, AccessType.FETCH).cycles for i in range(700))
+            results[mode] = (cycles, state(system), vm.stats.snapshot())
+        assert results[True] == results[False]
+        l1i = system.machine.hierarchy.l1i.stats
+        assert l1i["hit"] + l1i["miss"] == 700  # every fetch probed the L1I
 
 
 def _both_modes(fn):

@@ -7,8 +7,7 @@ import pytest
 
 from repro.common.params import CacheParams, boom, machine_params, rocket
 from repro.common.stats import Histogram, StatGroup
-from repro.engine import MetricsSink
-from repro.experiments.report import emit_metrics, format_table, geomean, normalize
+from repro.experiments.report import format_table, geomean, normalize
 
 import json
 
@@ -231,34 +230,6 @@ class TestPercentilesOnePass:
         h = Histogram()
         h.observe(7, count=9)
         assert h.percentiles(50, 50, 100) == [7, 7, 7]
-
-
-class TestMetricsSink:
-    def test_rows_values_stats_round_trip(self, tmp_path):
-        stats = StatGroup("engine")
-        stats.bump("accesses", 2)
-        stats.observe("access_cycles", 100)
-        sink = emit_metrics(
-            "test", "fig2", [{"kind": "pmp", "refs": 4}], stats=[stats]
-        )
-        sink.record_value("fig2", "geomean", 1.5)
-        payload = json.loads(sink.to_json())
-        fig = payload["figures"]["fig2"]
-        assert fig["rows"] == [{"kind": "pmp", "refs": 4}]
-        assert fig["values"]["geomean"] == 1.5
-        assert fig["stats"]["engine"] == {"accesses": 2}
-        assert fig["histograms"]["engine.access_cycles"]["count"] == 1
-        path = tmp_path / "metrics.json"
-        sink.write(str(path))
-        assert json.loads(path.read_text()) == payload
-
-    def test_accumulates_across_figures(self):
-        sink = MetricsSink("multi")
-        sink.record_rows("a", [{"x": 1}])
-        emit_metrics("ignored", "b", [{"y": 2}], sink=sink)
-        figures = sink.to_dict()["figures"]
-        assert set(figures) == {"a", "b"}
-        assert sink.label == "multi"
 
 
 class TestMachineParams:

@@ -124,9 +124,9 @@ class TestHooksNeverAlterTiming:
         b_system, b_space = make_system("pmpt")
         for i in range(4):
             va = VA + (i % 2) * PAGE_SIZE
-            cycles = a_system.machine.access_cycles(
-                a_space.page_table, va, AccessType.READ, PrivilegeMode.USER, a_space.asid
-            )
+            cycles = a_system.machine.access_run(
+                a_space.page_table, va, 0, 1, AccessType.READ, PrivilegeMode.USER, a_space.asid
+            )[0]
             assert cycles == b_system.access(b_space, va).cycles
 
     def test_run_trace_result_matches_machine_stats(self):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.report import format_table
 from repro.runner import CellRecord, ResultStore, RunManifest, campaign_tasks
 from repro.runner.manifest import STATUS_OK
 from repro.runner.tasks import run_experiment
@@ -331,3 +332,10 @@ def test_report_names_a_cell_whose_rows_are_missing(cheap_rows, tmp_path, capsys
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "FAILED fig02/counts" in err and "--filter fig02/counts" in err
+
+
+def test_format_table_prints_none_as_dash():
+    rows = [_region(12), _region(13)]
+    headers = ["region", "penglai-pmp_alloc", "penglai-pmp_release"]
+    lines = format_table(headers, rows).splitlines()
+    assert [line.split() for line in lines[2:]] == [["12", "38", "38"], ["13", "exhausted", "-"]]

@@ -22,13 +22,12 @@ import pytest
 
 import repro
 from repro.common.errors import AccessFault, PageFault
-from repro.common.types import PAGE_SIZE, AccessType, Permission, PrivilegeMode
+from repro.common.types import PAGE_SIZE, AccessType, Permission
 from repro.engine import AccessBlock, EngineHook, block_mode_enabled, set_block_mode
 
 from .test_block_exec import (
     MODES,
     VA,
-    _BlockSpy,
     _both_modes,
     _RefSpy,
     build_system,
@@ -36,7 +35,6 @@ from .test_block_exec import (
     state,
 )
 
-U = PrivilegeMode.USER
 READ, WRITE, FETCH = AccessType.READ, AccessType.WRITE, AccessType.FETCH
 
 #: Every run shape in one program: long strided, stride-0, single reference,
@@ -148,69 +146,42 @@ class TestProgramParity:
         assert results[True] == results[False]
 
 
-class _FlushOnBlock(EngineHook):
-    """Flushes the TLB from inside the *after*-th ``block_done``."""
+class _FlushOnFill(EngineHook):
+    """Flushes the TLB from inside the *after*-th TLB fill."""
 
     def __init__(self, machine, after):
         self.machine = machine
         self.seen = 0
         self.after = after
 
-    def on_block(self, va, stride, count, access, cycles):
+    def on_tlb_fill(self, entry, which="dtlb"):
         self.seen += 1
         if self.seen == self.after:
             self.machine.tlb.flush()
 
 
 class TestHookDiscipline:
-    def test_block_hook_sees_identical_spans(self):
-        """A program shows block hooks exactly the spans its runs show when
-        issued one ``access_run`` at a time, each span on a single page."""
-        streams = {}
-        for whole in (True, False):
-            system = build_system(True)
-            space = system.new_address_space()
-            space.map(VA, 32 * PAGE_SIZE, Permission.rw())
-            spy = _BlockSpy()
-            system.machine.engine.install_hook(spy)
-            for _ in range(2):
-                if whole:
-                    run_spans(system.machine, space, MIXED_SPANS, True)
-                else:
-                    for va, stride, count, access in MIXED_SPANS:
-                        system.machine.access_run(space.page_table, va, stride, count, access, U, space.asid)
-            system.machine.engine.remove_hook(spy)
-            streams[whole] = (spy.spans, state(system))
-        assert streams[True] == streams[False]
-        spans = streams[True][0]
-        assert spans, "the warm pass should have taken the fused path"
-        for va, stride, count, _access, _cycles in spans:
-            assert va // PAGE_SIZE == (va + stride * (count - 1)) // PAGE_SIZE
-
     def test_reference_hook_forces_scalar(self):
         system = build_system(True)
         space = system.new_address_space()
         space.map(VA, 4 * PAGE_SIZE, Permission.rw())
         ref_spy = _RefSpy()
-        block_spy = _BlockSpy()
         system.machine.engine.install_hook(ref_spy)
-        system.machine.engine.install_hook(block_spy)
         run_spans(system.machine, space, [(VA, 8, 2000, READ)], True)
         system.machine.engine.remove_hook(ref_spy)
-        system.machine.engine.remove_hook(block_spy)
         assert ref_spy.refs >= 2000  # every reference observed individually
-        assert block_spy.spans == []  # no fused spans under a ref hook
 
 
 class TestSnapshotInvalidation:
     def test_mid_program_tlb_flush_not_stale(self):
         """A TLB flush made by a hook mid-program reaches the rest of it.
 
-        Each span covers one cold page: its first reference walks and the
-        other 63 are one fused chunk, so the fourth ``block_done`` closes the
-        fourth span.  From there the program must walk again, exactly like a
-        scalar run flushed between spans 4 and 5, instead of charging hits
-        to the flushed entries.
+        Each span covers one cold page: its first reference walks and fills,
+        and the other 63 are one fused chunk.  A fill hook, which leaves
+        fusion on, flushes the TLB from inside the fourth fill, so the rest
+        of the program must walk again instead of charging hits to the
+        flushed entries.  The same hook runs in scalar mode, and both modes
+        must end in the same state.
         """
         spans = [(VA + i * PAGE_SIZE, 8, 64, READ) for i in range(8)] * 3
         results = {}
@@ -218,17 +189,11 @@ class TestSnapshotInvalidation:
             system = build_system(mode)
             space = system.new_address_space()
             space.map(VA, 16 * PAGE_SIZE, Permission.rw())
-            if mode:
-                hook = _FlushOnBlock(system.machine, after=4)
-                system.machine.engine.install_hook(hook)
-                got = run_spans(system.machine, space, spans, mode)
-                system.machine.engine.remove_hook(hook)
-                assert hook.seen >= 4  # the flush actually fired
-            else:
-                head = run_spans(system.machine, space, spans[:4], mode)
-                system.machine.tlb.flush()
-                tail = run_spans(system.machine, space, spans[4:], mode)
-                got = tuple(a + b for a, b in zip(head, tail))
+            hook = _FlushOnFill(system.machine, after=4)
+            system.machine.engine.install_hook(hook)
+            got = run_spans(system.machine, space, spans, mode)
+            system.machine.engine.remove_hook(hook)
+            assert hook.seen > 8  # the flush fired and forced re-walks
             results[mode] = (got, state(system))
         assert results[True] == results[False]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import AlignmentError, GuestPageFault
+from repro.common.errors import AccessFault, AlignmentError, GuestPageFault, PageFault
 from repro.common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, Permission
 from repro.paging.pagetable import pte_encode
 from repro.soc.system import System
@@ -162,8 +162,6 @@ class TestGuestSemantics:
 
     def test_unmapped_gva_faults(self):
         system, vm = build("pmp")
-        from repro.common.errors import PageFault
-
         with pytest.raises(PageFault):
             vm.guest_access(GVA + 0x100000)
 
@@ -184,6 +182,50 @@ class TestGuestSemantics:
         frames = [vm.view.backing[GUEST_DRAM_BASE + i * PAGE_SIZE] for i in range(64)]
         deltas = {b - a for a, b in zip(frames, frames[1:])}
         assert deltas != {PAGE_SIZE}
+
+
+class TestGuestPermissions:
+    """The guest PTE's R/W/X, and the checker permission inlined into the
+    combined-TLB entry, are checked against the access type."""
+
+    def _build(self, perm):
+        system = System(machine="rocket", checker_kind="hpmp", mem_mib=128)
+        vm = VirtualMachine(system, guest_pages=128)
+        vm.guest_map(GVA, GUEST_DRAM_BASE + 8 * PAGE_SIZE, perm)
+        return system, vm
+
+    def test_write_to_read_only_page_faults_on_miss(self):
+        _, vm = self._build(Permission(r=True))
+        with pytest.raises(PageFault, match="denies w"):
+            vm.access(GVA, AccessType.WRITE)
+
+    def test_write_to_read_only_page_faults_on_hit(self):
+        _, vm = self._build(Permission(r=True))
+        assert not vm.access(GVA).combined_tlb_hit
+        with pytest.raises(PageFault, match="denies w"):
+            vm.access(GVA, AccessType.WRITE)
+        assert vm.access(GVA).combined_tlb_hit
+
+    def test_write_run_to_read_only_page_faults(self):
+        _, vm = self._build(Permission(r=True))
+        with pytest.raises(PageFault, match="denies w"):
+            vm.access_run(GVA, 8, 64, AccessType.WRITE)
+
+    def test_fetch_from_non_executable_page_faults(self):
+        _, vm = self._build(Permission.rw())
+        with pytest.raises(PageFault, match="denies x"):
+            vm.access(GVA, AccessType.FETCH)
+        vm.access(GVA)
+        with pytest.raises(PageFault, match="denies x"):
+            vm.access(GVA, AccessType.FETCH)
+
+    def test_inlined_checker_permission_denies_write_on_hit(self):
+        system, vm = self._build(Permission.rw())
+        hpa = vm.view.hpa_of(GUEST_DRAM_BASE + 8 * PAGE_SIZE)
+        system.setup.table.set_page_perm(hpa, Permission(r=True))
+        vm.access(GVA)  # the fill inlines the checker's r-- for the frame
+        with pytest.raises(AccessFault, match="inlined perm denies"):
+            vm.access(GVA, AccessType.WRITE)
 
 
 class TestSchemeOrdering:
