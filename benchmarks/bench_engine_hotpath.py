@@ -14,9 +14,12 @@ dominate campaign wall time and writes ``BENCH_hotpath.json``:
   line-chunked fills + MRU fusion, no TLB).
 
 Each scenario runs ``repeats`` times and keeps the fastest pass (robust to
-scheduler noise).  ``--check reference.json`` gates against a checked-in
-reference: any scenario more than ``--tolerance`` slower fails, which is how
-CI catches hot-path regressions.
+scheduler noise).  A calibration pass runs right before every repeat, and a
+scenario's ns/reference is compared with the fastest of its own calibration
+passes, so both see the same host speed.  ``--check reference.json`` gates
+against a checked-in reference: any scenario more than ``--tolerance``
+slower, relative to calibration, fails, which is how CI catches hot-path
+regressions.
 
 Usage::
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 from typing import Callable, Dict, Tuple
@@ -43,17 +47,23 @@ U = PrivilegeMode.USER
 READ = AccessType.READ
 
 
-def _time_refs(loop: Callable[[int], int], iterations: int, repeats: int) -> Tuple[float, int]:
-    """Best-of-*repeats* wall time for ``loop(iterations)``; returns (s, refs)."""
-    best = float("inf")
+#: Iterations of one calibration pass (about as long as a scenario pass).
+CALIBRATION_ITERATIONS = 2_000_000
+
+
+def _time_refs(loop: Callable[[int], int], iterations: int, repeats: int) -> Tuple[float, int, float]:
+    """Best-of-*repeats* wall time for ``loop(iterations)``, each repeat
+    preceded by a calibration pass; returns (s, refs, fastest calibration s)."""
+    best = best_cal = float("inf")
     refs = 0
     for _ in range(repeats):
         start = time.perf_counter()
+        _calibration_loop(CALIBRATION_ITERATIONS)
+        best_cal = min(best_cal, time.perf_counter() - start)
+        start = time.perf_counter()
         refs = loop(iterations)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best, refs
+        best = min(best, time.perf_counter() - start)
+    return best, refs, best_cal
 
 
 def scenario_tlb_hit(checker_kind: str) -> Callable[[int], int]:
@@ -191,30 +201,29 @@ SCENARIOS: Dict[str, Tuple[Callable[[], Callable[[int], int]], int]] = {
 
 
 def run(repeats: int) -> Tuple[Dict[str, Dict[str, float]], float]:
-    cal_elapsed, cal_iters = _time_refs(_calibration_loop, 2_000_000, repeats)
-    calibration_ns = cal_elapsed / cal_iters * 1e9
-    print(f"{'calibration':20s} {calibration_ns:10.1f} ns/iteration  ({cal_elapsed:.3f}s best of {repeats})")
+    """Time every scenario; returns its results and the median calibration."""
     results: Dict[str, Dict[str, float]] = {}
     for name, (factory, iterations) in SCENARIOS.items():
         loop = factory()
-        elapsed, refs = _time_refs(loop, iterations, repeats)
+        elapsed, refs, cal_elapsed = _time_refs(loop, iterations, repeats)
         ns_per_ref = elapsed / refs * 1e9
+        calibration_ns = cal_elapsed / CALIBRATION_ITERATIONS * 1e9
         results[name] = {
             "iterations": iterations,
             "best_s": round(elapsed, 6),
             "ns_per_reference": round(ns_per_ref, 1),
+            "calibration_ns": round(calibration_ns, 2),
             "relative_to_calibration": round(ns_per_ref / calibration_ns, 2),
         }
-        print(f"{name:20s} {ns_per_ref:10.1f} ns/reference  ({elapsed:.3f}s best of {repeats})")
-    return results, round(calibration_ns, 2)
+        print(
+            f"{name:20s} {ns_per_ref:10.1f} ns/reference  ({elapsed:.3f}s best of {repeats}; "
+            f"calibration {calibration_ns:.1f} ns/iteration)"
+        )
+    calibration = statistics.median(r["calibration_ns"] for r in results.values())
+    return results, round(calibration, 2)
 
 
-def check(
-    results: Dict[str, Dict[str, float]],
-    calibration_ns: float,
-    reference_path: str,
-    tolerance: float,
-) -> int:
+def check(results: Dict[str, Dict[str, float]], reference_path: str, tolerance: float) -> int:
     """Gate on calibration-relative ns/reference (machine-speed invariant)."""
     with open(reference_path) as fh:
         reference = json.load(fh)
@@ -225,14 +234,16 @@ def check(
         if cur is None:
             failures.append(f"{name}: missing from this run")
             continue
-        ref_rel = ref["ns_per_reference"] / ref_cal
-        cur_rel = cur["ns_per_reference"] / calibration_ns
+        # A reference written before calibration was timed per scenario has
+        # only the run-wide calibration.
+        ref_rel = ref["ns_per_reference"] / ref.get("calibration_ns", ref_cal)
+        cur_rel = cur["ns_per_reference"] / cur["calibration_ns"]
         limit = ref_rel * (1.0 + tolerance)
         if cur_rel > limit:
             failures.append(
                 f"{name}: {cur_rel:.1f}x calibration exceeds "
                 f"{ref_rel:.1f}x +{tolerance:.0%} = {limit:.1f}x "
-                f"({cur['ns_per_reference']:.0f} ns/ref at {calibration_ns:.0f} ns/cal)"
+                f"({cur['ns_per_reference']:.0f} ns/ref at {cur['calibration_ns']:.0f} ns/cal)"
             )
     if failures:
         print("hot-path regression gate: FAIL")
@@ -265,7 +276,7 @@ def main() -> int:
     print(f"wrote {args.out}")
 
     if args.check:
-        return check(results, calibration_ns, args.check, args.tolerance)
+        return check(results, args.check, args.tolerance)
     return 0
 
 

@@ -235,10 +235,6 @@ class ReferenceEngine:
 
     # -- the pipeline stages -------------------------------------------------
 
-    def begin(self) -> Account:
-        """Open a fresh per-access account."""
-        return Account()
-
     def step_ref(
         self,
         acct: Account,

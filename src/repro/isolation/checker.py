@@ -15,30 +15,35 @@ Use :func:`repro.isolation.factory.make_checker` to build them consistently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import NamedTuple, Protocol
 
 from ..common.types import AccessType, Permission, PrivilegeMode
 
 
-@dataclass(frozen=True)
-class CheckCost:
+class CheckCost(NamedTuple):
     """Cost of one permission check.
 
     ``refs`` counts extra memory references issued (0 for segment checks),
     ``cycles`` the latency those references (plus fixed logic) incurred, and
-    ``perm`` the resolved permission — cached by TLB inlining.
+    ``perm`` the entry's full R/W/X permission, not just the checked bit —
+    cached by TLB inlining, so an inlined entry serves later accesses of
+    other types.  A named tuple, because every table-walking check builds
+    one and a tuple is far cheaper to build than a frozen dataclass.
     """
 
     cycles: int
     refs: int
     perm: Permission
 
-    def __add__(self, other: "CheckCost") -> "CheckCost":
+    def __add__(self, other: "CheckCost") -> "CheckCost":  # type: ignore[override]
         return CheckCost(self.cycles + other.cycles, self.refs + other.refs, self.perm & other.perm)
 
 
-ZERO_COST = CheckCost(0, 0, Permission.rwx())
+#: The shared result of every check that costs nothing (segment entries,
+#: M-mode, PMP, no protection), keyed by ``(r, w, x)``: hashing that tuple
+#: is several times cheaper than hashing a :class:`Permission`.
+ZERO_COSTS = {(p.r, p.w, p.x): CheckCost(0, 0, p) for p in map(Permission.from_bits, range(8))}
+ZERO_COST = ZERO_COSTS[True, True, True]
 
 
 class IsolationChecker(Protocol):
@@ -52,18 +57,9 @@ class IsolationChecker(Protocol):
         access: AccessType,
         priv: PrivilegeMode = PrivilegeMode.SUPERVISOR,
     ) -> CheckCost:
-        """Validate an access; return its cost or raise AccessFault."""
-        ...
+        """Validate an access; return its cost or raise AccessFault.
 
-    def resolve(
-        self,
-        paddr: int,
-        priv: PrivilegeMode = PrivilegeMode.SUPERVISOR,
-    ) -> Optional[CheckCost]:
-        """Like check, but returns the full R/W/X permission without faulting.
-
-        Returns None when no permission applies (access would fault).  Used
-        at TLB-fill time so the inlined permission covers later accesses of
-        other types to the same page.
+        The returned ``perm`` is the full permission that applies at
+        *paddr*, which TLB inlining caches for the page.
         """
         ...

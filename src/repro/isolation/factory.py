@@ -25,7 +25,7 @@ from ..common.types import AccessType, MemRegion, Permission, PrivilegeMode
 from ..mem.allocator import FrameAllocator
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.physical import PhysicalMemory
-from .checker import CheckCost
+from .checker import ZERO_COST, CheckCost
 from .hpmp import HPMPChecker, HPMPRegisterFile
 from .pmp import AddrMatch, PMPChecker, PMPEntry, PMPRegisterFile, napot_addr
 from .pmptable import MODE_2LEVEL, PMPTable
@@ -44,14 +44,7 @@ class NullChecker:
         access: AccessType,
         priv: PrivilegeMode = PrivilegeMode.SUPERVISOR,
     ) -> CheckCost:
-        return CheckCost(0, 0, Permission.rwx())
-
-    def resolve(
-        self,
-        paddr: int,
-        priv: PrivilegeMode = PrivilegeMode.SUPERVISOR,
-    ) -> Optional[CheckCost]:
-        return CheckCost(0, 0, Permission.rwx())
+        return ZERO_COST
 
 
 Checker = Union[NullChecker, PMPChecker, HPMPChecker]

@@ -20,9 +20,9 @@ from typing import Dict, Optional
 
 from ..common.errors import AccessFault, ConfigurationError
 from ..common.stats import StatGroup
-from ..common.types import AccessType, Permission, PrivilegeMode
+from ..common.types import AccessType, PrivilegeMode
 from ..mem.hierarchy import MemoryHierarchy
-from .checker import CheckCost
+from .checker import ZERO_COST, ZERO_COSTS, CheckCost
 from .pmp import AddrMatch, PMPEntry, PMPRegisterFile
 from .pmptable import PMPTable
 
@@ -196,68 +196,57 @@ class HPMPChecker:
             self.stats.bump("pmpte_refs", self._s_pmpte_refs)
             self._s_pmpte_refs = 0
 
-    def _walk_table(self, index: int, paddr: int) -> CheckCost:
-        """Walk the PMP table bound to entry *index* for *paddr*."""
-        table = self.regfile.table_for(index)
-        lookup = table.lookup(paddr)
-        cycles = 0
-        refs = 0
-        pmptw_cache = self.pmptw_cache
-        hierarchy_access = self.hierarchy.access if self.hierarchy is not None else None
-        for pmpte_addr in lookup.pmpte_addrs:
-            if pmptw_cache.probe(pmpte_addr):
-                cycles += PMPTW_CACHE_HIT_CYCLES
-                continue
-            refs += 1
-            if hierarchy_access is not None:
-                cycles += hierarchy_access(pmpte_addr)
-            pmptw_cache.insert(pmpte_addr)
-        self._s_table_walks += 1
-        self._s_pmpte_refs += refs
-        if lookup.perm is None:
-            raise AccessFault(paddr, "walk", f"invalid pmpte in table of entry {index}")
-        return CheckCost(cycles, refs, lookup.perm)
-
-    def _resolve(self, paddr: int, priv: PrivilegeMode) -> Optional[CheckCost]:
-        index = self.regfile.match(paddr)
-        if index is None:
-            if priv is PrivilegeMode.MACHINE:
-                return CheckCost(0, 0, Permission.rwx())
-            return None
-        entry = self.regfile.entries[index]
-        if priv is PrivilegeMode.MACHINE and not entry.locked:
-            return CheckCost(0, 0, Permission.rwx())
-        if entry.table:
-            try:
-                return self._walk_table(index, paddr)
-            except AccessFault:
-                return None
-        self._s_seg_checks += 1
-        return CheckCost(0, 0, entry.perm)
-
     def check(
         self,
         paddr: int,
         access: AccessType,
         priv: PrivilegeMode = PrivilegeMode.SUPERVISOR,
     ) -> CheckCost:
-        """Validate the access; raise :class:`AccessFault` if denied."""
+        """Validate the access; raise :class:`AccessFault` if denied.
+
+        A segment entry (or M-mode) costs nothing and returns a shared
+        result; a table entry walks the PMP table bound to it, charging each
+        pmpte read through the hierarchy unless the PMPTW-Cache holds it.
+        """
         self._s_checks += 1
-        cost = self._resolve(paddr, priv)
+        regfile = self.regfile
+        index = regfile.match(paddr)
+        cost = None
+        if index is None:
+            if priv is PrivilegeMode.MACHINE:
+                return ZERO_COST
+        else:
+            entry = regfile.entries[index]
+            if priv is PrivilegeMode.MACHINE and not entry.locked:
+                return ZERO_COST
+            if entry.table:
+                # table_for raises the ConfigurationError for an unbound entry.
+                table = regfile._tables.get(index) or regfile.table_for(index)
+                lookup = table.lookup(paddr)
+                cycles = refs = 0
+                pmptw_cache = self.pmptw_cache
+                cache_on = pmptw_cache.capacity > 0
+                hierarchy = self.hierarchy
+                for pmpte_addr in lookup.pmpte_addrs:
+                    if cache_on and pmptw_cache.probe(pmpte_addr):
+                        cycles += PMPTW_CACHE_HIT_CYCLES
+                        continue
+                    refs += 1
+                    if hierarchy is not None:
+                        cycles += hierarchy.access(pmpte_addr)
+                    if cache_on:
+                        pmptw_cache.insert(pmpte_addr)
+                self._s_table_walks += 1
+                self._s_pmpte_refs += refs
+                if lookup.perm is not None:  # None: an invalid pmpte faults
+                    cost = CheckCost(cycles, refs, lookup.perm)
+            else:
+                self._s_seg_checks += 1
+                perm = entry.perm
+                cost = ZERO_COSTS[perm.r, perm.w, perm.x]
         if cost is None or not cost.perm.allows(access):
             self._s_faults += 1
             raise AccessFault(paddr, access.value, f"{self.name} denied ({priv.name})")
-        return cost
-
-    def resolve(
-        self,
-        paddr: int,
-        priv: PrivilegeMode = PrivilegeMode.SUPERVISOR,
-    ) -> Optional[CheckCost]:
-        """Permission lookup for TLB inlining (None = no access)."""
-        cost = self._resolve(paddr, priv)
-        if cost is not None and cost.perm == Permission.none():
-            return None
         return cost
 
     def flush_caches(self) -> None:

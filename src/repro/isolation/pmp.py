@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 from ..common.errors import AccessFault, ConfigurationError
 from ..common.stats import StatGroup
 from ..common.types import AccessType, MemRegion, Permission, PrivilegeMode
-from .checker import CheckCost
+from .checker import ZERO_COST, ZERO_COSTS, CheckCost
 
 PMP_ENTRIES = 16
 
@@ -202,7 +202,8 @@ class PMPRegisterFile:
         access-aligned) fall back to the generic priority scan, which is the
         semantic reference.
         """
-        if self._bounds is None:
+        bounds = self._bounds
+        if bounds is None:
             # Don't rebuild the table for a programming that may be gone
             # after a handful of checks; the linear scan is cheaper until
             # the same register-file state has served several matches.
@@ -212,7 +213,9 @@ class PMPRegisterFile:
                     if region.contains(paddr, size):
                         return index
                 return None
-        bounds, winners = self._match_table()
+            bounds, winners = self._match_table()
+        else:
+            winners = self._winners
         slot = bisect_right(bounds, paddr) - 1
         if 0 <= slot < len(winners) and paddr + size <= bounds[slot + 1]:
             winner = winners[slot]
@@ -249,39 +252,30 @@ class PMPChecker:
             self.stats.bump("faults", self._s_faults)
             self._s_faults = 0
 
-    def _matched_perm(
-        self, paddr: int, priv: PrivilegeMode
-    ) -> Optional[Permission]:
-        index = self.regfile.match(paddr)
-        if index is None:
-            # M-mode default-allow; S/U default-deny.
-            return Permission.rwx() if priv is PrivilegeMode.MACHINE else None
-        entry = self.regfile.entries[index]
-        if priv is PrivilegeMode.MACHINE and not entry.locked:
-            return Permission.rwx()
-        return entry.perm
-
     def check(
         self,
         paddr: int,
         access: AccessType,
         priv: PrivilegeMode = PrivilegeMode.SUPERVISOR,
     ) -> CheckCost:
-        """Validate the access; segment checks cost no memory references."""
-        self._s_checks += 1
-        perm = self._matched_perm(paddr, priv)
-        if perm is None or not perm.allows(access):
-            self._s_faults += 1
-            raise AccessFault(paddr, access.value, f"PMP denied ({priv.name})")
-        return CheckCost(0, 0, perm)
+        """Validate the access; segment checks cost no memory references.
 
-    def resolve(
-        self,
-        paddr: int,
-        priv: PrivilegeMode = PrivilegeMode.SUPERVISOR,
-    ) -> Optional[CheckCost]:
-        """Full-permission lookup for TLB inlining; None if no access at all."""
-        perm = self._matched_perm(paddr, priv)
-        if perm is None:
-            return None
-        return CheckCost(0, 0, perm)
+        S/U accesses no entry covers are denied; M-mode is allowed unless a
+        locked entry covers the access and denies it.
+        """
+        self._s_checks += 1
+        regfile = self.regfile
+        index = regfile.match(paddr)
+        if index is None:
+            if priv is PrivilegeMode.MACHINE:
+                return ZERO_COST
+        else:
+            entry = regfile.entries[index]
+            if priv is PrivilegeMode.MACHINE and not entry.locked:
+                return ZERO_COST
+            perm = entry.perm
+            cost = ZERO_COSTS[perm.r, perm.w, perm.x]
+            if cost.perm.allows(access):
+                return cost
+        self._s_faults += 1
+        raise AccessFault(paddr, access.value, f"PMP denied ({priv.name})")

@@ -3,19 +3,20 @@
 The cache tracks which line addresses are resident (tags only — data lives in
 :class:`repro.mem.physical.PhysicalMemory`).  ``probe`` answers hit/miss,
 ``insert`` fills a line and returns the victim tag if one was evicted, and
-``lookup_fill`` fuses the two for the hierarchy's per-reference hot path.
+:func:`lookup_fill_path` fuses the two over a whole L1 → L2 → LLC path for
+the hierarchy's per-reference hot path (``lookup_fill`` is one level of it).
 Replacement is true LRU by default; ``random`` is available for ablations.
 
 Hot-path engineering (see DESIGN.md "Hot path engineering"): each set is a
 flat Python list of line addresses ordered MRU-first, allocated on the
 set's first fill — for the small associativities real caches use (2–16
 ways), a C-level ``in`` membership scan plus a move-to-front beats an
-``OrderedDict`` probe, and the fused ``lookup_fill`` decides hit or miss
-with one such scan per reference.  No lookup raises and catches an
-exception: a miss into a non-empty set is the common case on a TLB miss.
-Hit/miss/eviction counts accumulate in plain instance ints and are
-published into the :class:`~repro.common.stats.StatGroup` only when
-somebody reads it.
+``OrderedDict`` probe, and the fused lookup decides hit or miss with one
+such scan per level.  The set layout is private to this module.  No lookup
+raises and catches an exception: a miss into a non-empty set is the common
+case on a TLB miss.  Hit/miss/eviction counts accumulate in plain instance
+ints and are published into the :class:`~repro.common.stats.StatGroup` only
+when somebody reads it.
 """
 
 from __future__ import annotations
@@ -110,33 +111,10 @@ class Cache:
     def lookup_fill(self, paddr: int) -> bool:
         """Fused probe+insert: return True on hit, fill (evicting) on miss.
 
-        This is the hierarchy's per-reference primitive — one set lookup
-        decides hit/miss, updates recency, and installs the line, so a miss
-        never pays a second residency check the way ``probe`` + ``insert``
-        would.  State and counters end up exactly as the unfused pair leaves
-        them.
+        One level of :func:`lookup_fill_path`; state and counters end up
+        exactly as ``probe`` followed, on a miss, by ``insert``.
         """
-        shifted = paddr >> self._line_shift
-        line = shifted << self._line_shift
-        set_index = shifted & self._set_mask
-        cset = self._sets[set_index]
-        if not cset:
-            self._misses += 1
-            self._sets[set_index] = [line]
-            return False
-        if cset[0] == line:  # MRU hit: the common case costs one compare
-            self._hits += 1
-            return True
-        if line in cset:
-            cset.remove(line)
-            cset.insert(0, line)
-            self._hits += 1
-            return True
-        self._misses += 1
-        if len(cset) >= self._ways:
-            self._evict(cset)
-        cset.insert(0, line)
-        return False
+        return not lookup_fill_path((self,), paddr)
 
     def mru_hits(self, count: int) -> None:
         """Account *count* repeat hits on the current MRU line (bulk touch).
@@ -206,3 +184,45 @@ class Cache:
     def resident_lines(self) -> int:
         """Number of lines currently resident (for tests)."""
         return sum(len(s) for s in self._sets)
+
+
+def lookup_fill_path(path: Sequence[Cache], paddr: int) -> int:
+    """Probe *path* (L1 first) for *paddr*, filling each level that misses.
+
+    Returns how many levels missed before one hit (``len(path)`` when every
+    level missed).  This is the hierarchy's per-reference primitive: one
+    call decides hit or miss at each level with one set scan, updates
+    recency and installs the line, so a miss never pays a second residency
+    check the way ``probe`` + ``insert`` would.  Filling a missing level
+    before probing the next one is equivalent to filling on the way back:
+    the levels hold disjoint state, so the order of installs never changes
+    a hit, a victim or a counter.
+    """
+    missed = 0
+    for cache in path:
+        shift = cache._line_shift
+        shifted = paddr >> shift
+        line = shifted << shift
+        set_index = shifted & cache._set_mask
+        cset = cache._sets[set_index]
+        if not cset:
+            cache._sets[set_index] = [line]
+        elif cset[0] == line:  # MRU hit: the common case costs one compare
+            cache._hits += 1
+            return missed
+        elif line in cset:
+            cset.remove(line)
+            cset.insert(0, line)
+            cache._hits += 1
+            return missed
+        else:
+            if len(cset) >= cache._ways:
+                if cache._lru:  # _evict's LRU case, without the call
+                    cset.pop()
+                    cache._evictions += 1
+                else:
+                    cache._evict(cset)
+            cset.insert(0, line)
+        cache._misses += 1
+        missed += 1
+    return missed

@@ -6,13 +6,14 @@ is the single timing primitive every other component (PTW, PMPT walker,
 data path) uses, so permission-table walks and page-table walks naturally
 share cache capacity with data — the effect the paper's evaluation hinges on.
 
-The per-reference path is flattened: every level's fused
-:meth:`~repro.mem.cache.Cache.lookup_fill` and hit latency is resolved once
-at construction, so an access is a straight line of local calls — no
-attribute chains, no per-level probe-then-insert double lookup, and the
-refs/dram_refs counters are deferred plain ints published on stats reads.
-A level that hits installs the line in every level above it exactly as the
-unflattened probe/insert pair did, so residency, evictions and counters stay
+The per-reference path is flattened: an access is one call to
+:func:`~repro.mem.cache.lookup_fill_path` over the L1 → L2 → LLC path,
+which probes and fills every level it reaches with no per-level call and
+no probe-then-insert double lookup; its miss count indexes a table of
+cumulative latencies built at construction.  The refs/dram_refs counters
+are deferred plain ints published on stats reads.  A level that hits
+installs the line in every level above it exactly as the unflattened
+probe/insert pair did, so residency, evictions and counters stay
 byte-identical.
 """
 
@@ -22,7 +23,7 @@ from typing import Optional
 
 from ..common.params import MachineParams
 from ..common.stats import StatGroup
-from .cache import Cache
+from .cache import Cache, lookup_fill_path
 
 
 class MemoryHierarchy:
@@ -51,16 +52,17 @@ class MemoryHierarchy:
         self._dram_refs = 0
         self.stats = StatGroup("hierarchy", sync=self._publish_stats)
         # Hot-path bindings, resolved once (access() runs per reference):
-        # per-level fused lookup_fill plus the latency constants.
-        self._l1d_fill = self.l1d.lookup_fill
-        self._l1i_fill = self.l1i.lookup_fill
-        self._l2_fill = self.l2.lookup_fill
-        self._llc_fill = self.llc.lookup_fill
+        # per side (data, instruction), the cache path and the cumulative
+        # latency after 0, 1, 2 or 3 missed levels (the last adds DRAM).
+        sides = []
+        for l1 in (self.l1d, self.l1i):
+            latency = [l1.params.hit_latency]
+            for later in (params.l2.hit_latency, params.llc.hit_latency, params.dram_latency):
+                latency.append(latency[-1] + later)
+            sides.append(((l1, self.l2, self.llc), tuple(latency)))
+        self._data_side, self._fetch_side = sides
         self._l1d_lat = params.l1d.hit_latency
         self._l1i_lat = params.l1i.hit_latency
-        self._l2_lat = params.l2.hit_latency
-        self._llc_lat = params.llc.hit_latency
-        self._dram_lat = params.dram_latency
         self._l1d_shift = self.l1d._line_shift
         self._l1i_shift = self.l1i._line_shift
 
@@ -74,30 +76,13 @@ class MemoryHierarchy:
             self._dram_refs = 0
 
     def access(self, paddr: int, instruction: bool = False) -> int:
-        """Perform one reference; return its cycle cost and update occupancy.
-
-        Filling a missing level immediately (before probing the next one)
-        is equivalent to the textbook fill-on-the-way-back: the levels hold
-        disjoint state, so the order of installs across levels can never
-        change a hit/miss outcome, a victim, or a counter.
-        """
+        """Perform one reference; return its cycle cost and update occupancy."""
         self._refs += 1
-        if instruction:
-            cycles = self._l1i_lat
-            if self._l1i_fill(paddr):
-                return cycles
-        else:
-            cycles = self._l1d_lat
-            if self._l1d_fill(paddr):
-                return cycles
-        cycles += self._l2_lat
-        if self._l2_fill(paddr):
-            return cycles
-        cycles += self._llc_lat
-        if self._llc_fill(paddr):
-            return cycles
-        self._dram_refs += 1
-        return cycles + self._dram_lat
+        path, latency = self._fetch_side if instruction else self._data_side
+        missed = lookup_fill_path(path, paddr)
+        if missed == 3:
+            self._dram_refs += 1
+        return latency[missed]
 
     def access_run(self, paddr: int, stride: int, count: int, instruction: bool = False) -> int:
         """Charge *count* references at ``paddr, paddr+stride, ...``; returns cycles.
@@ -169,17 +154,13 @@ class MemoryHierarchy:
         StatGroup untouched (no hit/miss counts, no refs), so telemetry
         observes only the references the timed path actually issued.
         """
-        l1 = self.l1i if instruction else self.l1d
-        cycles = l1.params.hit_latency
-        if l1.probe(paddr, update_lru=False):
-            return cycles
-        cycles += self._l2_lat
-        if self.l2.probe(paddr, update_lru=False):
-            return cycles
-        cycles += self._llc_lat
-        if self.llc.probe(paddr, update_lru=False):
-            return cycles
-        return cycles + self._dram_lat
+        path, latency = self._fetch_side if instruction else self._data_side
+        missed = 0
+        for cache in path:
+            if cache.probe(paddr, update_lru=False):
+                break
+            missed += 1
+        return latency[missed]
 
     def warm(self, paddr: int) -> None:
         """Install the line holding *paddr* at every level (no timing)."""

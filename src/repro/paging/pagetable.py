@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..common.errors import ConfigurationError, PageFault
-from ..common.types import PAGE_SHIFT, PAGE_SIZE, AccessType, Permission
+from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, Permission
 from ..mem.physical import PhysicalMemory
 
 PTE_V = 1 << 0
@@ -222,39 +222,42 @@ class PageTable:
     def walk(self, va: int) -> Translation:
         """Functional (untimed) walk; raises :class:`PageFault` on failure.
 
-        Successful walks are memoised per VPN and *validated* on reuse.
-        While the memory's write ``epoch`` is the one the entry was last
-        validated at, nothing has been written and the entry is returned
-        without a read.  After any write, the entry is returned only when
-        every PTE it read still holds the value it read (and is then
-        stamped with the new epoch), so any write to table memory —
-        through this class or around it, or a guest view remapping a page
-        — transparently forces a fresh walk.  The timed walker re-issues
-        the step references itself, so memoisation changes no cycle,
-        reference or cache-state accounting.
+        Successful walks are memoised per VPN as the *page-level*
+        translation: ``paddr`` is the PA of *va*'s 4 KiB page.  A walk of a
+        page-aligned VA returns that memo object itself, with no allocation
+        (the timed walkers walk ``va & ~PAGE_MASK`` and add the offset
+        themselves); any other VA gets a copy carrying its offset.
+
+        Memo entries are *validated* on reuse.  While the memory's write
+        ``epoch`` is the one the entry was last validated at, nothing has
+        been written and the entry is returned without a read.  After any
+        write, the entry is returned only when every PTE it read still
+        holds the value it read (and is then stamped with the new epoch),
+        so any write to table memory — through this class or around it, or
+        a guest view remapping a page — transparently forces a fresh walk.
+        The timed walker re-issues the step references itself, so
+        memoisation changes no cycle, reference or cache-state accounting.
         """
         vpn = va >> PAGE_SHIFT
-        cached = self._walk_cache.get(vpn)
-        if cached is not None:
+        page = self._walk_cache.get(vpn)
+        if page is not None:
             memory = self.memory
             epoch = memory.epoch
-            valid = self._walk_epoch[vpn] == epoch
-            if not valid:
+            if self._walk_epoch[vpn] != epoch:
                 read64 = memory.read64
-                valid = all(read64(s.pte_addr) == s.pte for s in cached.steps)
-                if valid:
+                if all(read64(s.pte_addr) == s.pte for s in page.steps):
                     self._walk_epoch[vpn] = epoch
-            if valid:
-                offset = va & (PAGE_SIZE - 1)
-                if cached.paddr & (PAGE_SIZE - 1) == offset:
-                    return cached
-                return Translation(
-                    (cached.paddr & ~(PAGE_SIZE - 1)) | offset,
-                    cached.perm,
-                    cached.user,
-                    cached.page_size,
-                    cached.steps,
-                )
+                else:
+                    page = None
+        if page is None:
+            page = self._walk_page(va)
+        offset = va & PAGE_MASK
+        if not offset:
+            return page
+        return Translation(page.paddr | offset, page.perm, page.user, page.page_size, page.steps)
+
+    def _walk_page(self, va: int) -> Translation:
+        """Read the radix tree for *va*'s page and memoise the page-level result."""
         steps: List[WalkStep] = []
         table = self.root_pa
         for lvl in range(self.levels - 1, -1, -1):
@@ -267,12 +270,12 @@ class PageTable:
                 page_size = PAGE_SIZE << (VPN_BITS * lvl)
                 if (pte_ppn(pte) << PAGE_SHIFT) % page_size:
                     raise PageFault(va, f"misaligned level-{lvl} superpage")
-                base = pte_ppn(pte) << PAGE_SHIFT
-                paddr = base | (va & (page_size - 1))
-                result = Translation(paddr, pte_perm(pte), bool(pte & PTE_U), page_size, tuple(steps))
-                self._walk_cache[vpn] = result
+                paddr = (pte_ppn(pte) << PAGE_SHIFT) | (va & (page_size - 1) & ~PAGE_MASK)
+                page = Translation(paddr, pte_perm(pte), bool(pte & PTE_U), page_size, tuple(steps))
+                vpn = va >> PAGE_SHIFT
+                self._walk_cache[vpn] = page
                 self._walk_epoch[vpn] = self.memory.epoch
-                return result
+                return page
             table = pte_ppn(pte) << PAGE_SHIFT
         raise PageFault(va, "no leaf PTE found")
 

@@ -41,46 +41,37 @@ class PageWalkCache:
             self.stats.bump("miss", self._s_misses)
             self._s_misses = 0
 
-    @staticmethod
-    def _prefix(va: int, level: int, levels: int) -> int:
-        """The VPN bits above *level* (the part of VA resolved so far)."""
-        shift = 12 + 9 * (level + 1)
-        return va >> shift
-
     def lookup(self, root_pa: int, va: int, levels: int) -> Optional[Tuple[int, int]]:
         """Return ``(level, table_pa)`` for the deepest cached prefix, or None.
 
         ``level`` is the radix level the walker should continue at (it still
-        has to read the PTE at that level).
+        has to read the PTE at that level).  The key's prefix for *level* is
+        the VPN bits above it, ``va >> (12 + 9 * (level + 1))``.
         """
         if self.capacity == 0:
             return None
-        best: Optional[Tuple[int, int]] = None
+        entries = self._entries
         for level in range(0, levels - 1):  # deepest-first: level 0 has the longest prefix
-            key = (root_pa, level, self._prefix(va, level, levels))
-            table_pa = self._entries.get(key)
+            key = (root_pa, level, va >> (21 + 9 * level))
+            table_pa = entries.get(key)
             if table_pa is not None:
-                self._entries.move_to_end(key)
-                best = (level, table_pa)
-                break
-        if best is None:
-            self._s_misses += 1
-        else:
-            self._s_hits += 1
-        return best
+                entries.move_to_end(key)
+                self._s_hits += 1
+                return level, table_pa
+        self._s_misses += 1
+        return None
 
     def insert(self, root_pa: int, va: int, level: int, table_pa: int, levels: int) -> None:
         """Record that the level-*level* table page for *va*'s prefix is *table_pa*."""
         if self.capacity == 0:
             return
-        key = (root_pa, level, self._prefix(va, level, levels))
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = table_pa
-            return
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-        self._entries[key] = table_pa
+        entries = self._entries
+        key = (root_pa, level, va >> (21 + 9 * level))
+        if key in entries:
+            entries.move_to_end(key)
+        elif len(entries) >= self.capacity:
+            entries.popitem(last=False)
+        entries[key] = table_pa
 
     def flush(self) -> None:
         """Drop all entries (e.g. on sfence.vma)."""

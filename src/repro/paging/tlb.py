@@ -21,7 +21,7 @@ from ..common.stats import StatGroup
 from ..common.types import PAGE_SHIFT, Permission
 
 
-@dataclass
+@dataclass(slots=True)
 class TLBEntry:
     """One cached translation.
 
@@ -37,71 +37,12 @@ class TLBEntry:
     checker_perm: Optional[Permission] = None
 
 
-class _FullyAssocTLB:
-    """Fully associative, LRU."""
-
-    def __init__(self, entries: int):
-        self.capacity = entries
-        self._map: OrderedDict = OrderedDict()
-
-    def lookup(self, key: Tuple[int, int]) -> Optional[TLBEntry]:
-        entry = self._map.get(key)
-        if entry is not None:
-            self._map.move_to_end(key)
-        return entry
-
-    def insert(self, key: Tuple[int, int], entry: TLBEntry) -> None:
-        if key in self._map:
-            self._map.move_to_end(key)
-        elif len(self._map) >= self.capacity:
-            self._map.popitem(last=False)
-        self._map[key] = entry
-
-    def invalidate(self, predicate) -> None:
-        for key in [k for k, v in self._map.items() if predicate(k, v)]:
-            del self._map[key]
-
-    def flush(self) -> None:
-        self._map.clear()
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-
-class _DirectMappedTLB:
-    """Direct-mapped: one entry per set, indexed by low VPN bits."""
-
-    def __init__(self, entries: int):
-        self.capacity = entries
-        self._slots: Dict[int, Tuple[Tuple[int, int], TLBEntry]] = {}
-
-    def _index(self, key: Tuple[int, int]) -> int:
-        asid, vpn = key
-        return (vpn ^ asid) % self.capacity
-
-    def lookup(self, key: Tuple[int, int]) -> Optional[TLBEntry]:
-        slot = self._slots.get(self._index(key))
-        if slot is not None and slot[0] == key:
-            return slot[1]
-        return None
-
-    def insert(self, key: Tuple[int, int], entry: TLBEntry) -> None:
-        self._slots[self._index(key)] = (key, entry)
-
-    def invalidate(self, predicate) -> None:
-        for idx in [i for i, (k, v) in self._slots.items() if predicate(k, v)]:
-            del self._slots[idx]
-
-    def flush(self) -> None:
-        self._slots.clear()
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-
 class TLB:
     """The composed L1+L2 TLB.
 
+    The L1 is an ``OrderedDict`` keyed by ``(asid, vpn)`` in LRU order
+    (oldest first); the direct-mapped L2 maps a set index,
+    ``(vpn ^ asid) % entries``, to its one ``(key, entry)`` slot.
     ``lookup`` returns ``(entry, latency_cycles)``; an L2 hit is promoted to
     the L1.  ``fill`` installs into both levels.
     """
@@ -109,16 +50,17 @@ class TLB:
     def __init__(self, l1: TLBParams, l2: TLBParams):
         self.l1_params = l1
         self.l2_params = l2
-        self._l1 = _FullyAssocTLB(l1.entries)
-        self._l2 = _DirectMappedTLB(l2.entries)
+        self._l1: OrderedDict = OrderedDict()
+        self._l2: Dict[int, Tuple[Tuple[int, int], TLBEntry]] = {}
         # Deferred hot-path counters (published into ``stats`` on read) and
-        # latency constants / map bindings resolved once: ``lookup`` runs
-        # per memory access.
+        # geometry / latency constants resolved once: ``lookup`` runs per
+        # memory access.
         self._s_l1_hits = 0
         self._s_l2_hits = 0
         self._s_misses = 0
         self.stats = StatGroup("tlb", sync=self._publish_stats)
-        self._l1_map = self._l1._map
+        self._l1_entries = l1.entries
+        self._l2_entries = l2.entries
         self._l1_lat = l1.hit_latency
         self._l2_lat = l2.hit_latency
 
@@ -140,17 +82,22 @@ class TLB:
 
     def lookup(self, va: int, asid: int = 0) -> Tuple[Optional[TLBEntry], int]:
         """Probe L1 then L2 for *va*; return (entry-or-None, cycles)."""
-        key = (asid, va >> PAGE_SHIFT)
-        l1_map = self._l1_map
-        entry = l1_map.get(key)
+        vpn = va >> PAGE_SHIFT
+        key = (asid, vpn)
+        l1 = self._l1
+        entry = l1.get(key)
         if entry is not None:
-            l1_map.move_to_end(key)
+            l1.move_to_end(key)
             self._s_l1_hits += 1
             return entry, self._l1_lat
-        entry = self._l2.lookup(key)
-        if entry is not None:
+        slot = self._l2.get((vpn ^ asid) % self._l2_entries)
+        if slot is not None and slot[0] == key:
+            entry = slot[1]
             self._s_l2_hits += 1
-            self._l1.insert(key, entry)
+            # Promote; the key just missed the L1, so only capacity matters.
+            if len(l1) >= self._l1_entries:
+                l1.popitem(last=False)
+            l1[key] = entry
             return entry, self._l1_lat + self._l2_lat
         self._s_misses += 1
         return None, self._l1_lat + self._l2_lat
@@ -164,7 +111,7 @@ class TLB:
         resident only in the L2 returns None — the scalar path must run so
         the promotion (and its latency) happens exactly as usual.
         """
-        return self._l1_map.get((asid, va >> PAGE_SHIFT))
+        return self._l1.get((asid, va >> PAGE_SHIFT))
 
     def charge_l1_hits(self, va: int, asid: int, count: int) -> int:
         """Account *count* L1 hits on one entry; returns the cycles charged.
@@ -174,31 +121,43 @@ class TLB:
         counter and latency are linear.  Only valid when :meth:`peek_l1`
         just returned the entry (the key must be L1-resident).
         """
-        self._l1_map.move_to_end((asid, va >> PAGE_SHIFT))
+        self._l1.move_to_end((asid, va >> PAGE_SHIFT))
         self._s_l1_hits += count
         return count * self._l1_lat
 
     def fill(self, entry: TLBEntry) -> None:
         """Install a translation into both levels."""
-        key = (entry.asid, entry.vpn)
-        self._l1.insert(key, entry)
-        self._l2.insert(key, entry)
+        vpn = entry.vpn
+        asid = entry.asid
+        key = (asid, vpn)
+        l1 = self._l1
+        if key in l1:
+            l1.move_to_end(key)
+        elif len(l1) >= self._l1_entries:
+            l1.popitem(last=False)
+        l1[key] = entry
+        self._l2[(vpn ^ asid) % self._l2_entries] = (key, entry)
+
+    def _invalidate(self, match) -> None:
+        """Drop every entry whose key satisfies *match*, from both levels."""
+        l1, l2 = self._l1, self._l2
+        for key in [k for k in l1 if match(k)]:
+            del l1[key]
+        for index in [i for i, (k, _entry) in l2.items() if match(k)]:
+            del l2[index]
 
     def flush(self, asid: Optional[int] = None) -> None:
         """Flush everything, or only entries belonging to *asid*."""
         if asid is None:
-            self._l1.flush()
-            self._l2.flush()
+            self._l1.clear()
+            self._l2.clear()
         else:
-            self._l1.invalidate(lambda k, v: k[0] == asid)
-            self._l2.invalidate(lambda k, v: k[0] == asid)
+            self._invalidate(lambda k: k[0] == asid)
 
     def flush_page(self, va: int, asid: Optional[int] = None) -> None:
         """Flush the entry covering *va* (sfence.vma with an address)."""
         vpn = self.vpn(va)
-        match = lambda k, v: k[1] == vpn and (asid is None or k[0] == asid)  # noqa: E731
-        self._l1.invalidate(match)
-        self._l2.invalidate(match)
+        self._invalidate(lambda k: k[1] == vpn and (asid is None or k[0] == asid))
 
     def drop_inlined_permissions(self) -> None:
         """Clear inlined checker permissions without dropping translations.
@@ -206,9 +165,7 @@ class TLB:
         Used by ablations that model isolation-state updates synchronized via
         permission revalidation instead of a full flush.
         """
-        for entry in self._l1._map.values():
-            entry.checker_perm = None
-        for _key, entry in self._l2._slots.values():
+        for _level, _key, entry in self.resident_entries():
             entry.checker_perm = None
 
     def resident_entries(self):
@@ -220,9 +177,9 @@ class TLB:
         (e.g. the interleaved fuzzer's "no revoked page reachable from any
         hart" temporal invariant) without perturbing the timed state.
         """
-        for key, entry in self._l1._map.items():
+        for key, entry in self._l1.items():
             yield "l1", key, entry
-        for key, entry in self._l2._slots.values():
+        for key, entry in self._l2.values():
             yield "l2", key, entry
 
     def occupancy(self) -> Tuple[int, int]:

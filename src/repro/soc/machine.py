@@ -225,12 +225,6 @@ class Hart:
 
     # -- the timed access path ----------------------------------------------
 
-    def _mlp(self, cycles: float, access: AccessType) -> int:
-        """Apply out-of-order overlap to off-critical-path latency."""
-        if access is AccessType.WRITE:
-            return int(round(cycles))  # store checks stay on the commit path
-        return int(round(cycles * self.params.mlp_factor))
-
     def _walk(
         self,
         acct: Account,
@@ -239,39 +233,38 @@ class Hart:
         access: AccessType,
         priv: PrivilegeMode,
     ) -> TLBEntry:
-        """Timed page-table walk: yield steps to the engine; build the entry."""
+        """Timed page-table walk: yield steps to the engine; build the entry.
+
+        The functional walk of *va*'s page (its memo, while the tables are
+        unchanged) supplies the steps; the walk re-times each one below the
+        deepest page-walk-cache prefix.  Translation faults report the VA
+        of the page.
+        """
         engine = self.engine
         levels = page_table.levels
-        start_level = levels - 1
-        cached = self.pwc.lookup(page_table.root_pa, va, levels)
-        if cached is not None:
-            start_level = cached[0]
+        root_pa = page_table.root_pa
+        cached = self.pwc.lookup(root_pa, va, levels)
+        start_level = levels - 1 if cached is None else cached[0]
         try:
-            walk = page_table.walk(va)  # functional result; we re-time the steps
+            walk = page_table.walk(va & ~PAGE_MASK)
         except BaseException as exc:
             raise engine.fault(exc)
         step_ref = engine.step_ref  # bound once: the loop is the walk hot path
         pwc_insert = self.pwc.insert
         steps = walk.steps
-        num_steps = len(steps)
+        last = len(steps) - 1
         for i, step in enumerate(steps):
             if step.level > start_level:
                 continue  # resolved by the PWC
             step_ref(acct, step.pte_addr, RefKind.PT, priv)
-            if i + 1 < num_steps:
+            if i < last:
                 # A pointer PTE: remember the child table for future walks.
-                child_table = steps[i + 1].pte_addr & ~PAGE_MASK
-                pwc_insert(page_table.root_pa, va, step.level - 1, child_table, levels)
+                pwc_insert(root_pa, va, step.level - 1, steps[i + 1].pte_addr & ~PAGE_MASK, levels)
         if not walk.perm.allows(access):
             raise engine.fault(PageFault(va, f"page permission {walk.perm} denies {access.value}"))
         if priv is PrivilegeMode.USER and not walk.user:
             raise engine.fault(PageFault(va, "user access to supervisor page"))
-        return TLBEntry(
-            vpn=va >> PAGE_SHIFT,
-            ppn=(walk.paddr & ~PAGE_MASK) >> PAGE_SHIFT,
-            perm=walk.perm,
-            user=walk.user,
-        )
+        return TLBEntry(va >> PAGE_SHIFT, walk.paddr >> PAGE_SHIFT, walk.perm, walk.user)
 
     def _access_core(
         self,
@@ -362,9 +355,14 @@ class Hart:
                 if tlb_inlining:
                     entry.checker_perm = cost.perm
         paddr = (entry.ppn << PAGE_SHIFT) | (va & PAGE_MASK)
-        if acct.walk_cycles:
-            cycles += self._mlp(acct.walk_cycles, access)
-        engine.data_ref(acct, paddr, instruction=access is AccessType.FETCH)
+        walk_cycles = acct.walk_cycles
+        if walk_cycles:
+            # Out-of-order overlap hides part of the walk behind other work;
+            # store checks stay on the commit path.
+            if access is not AccessType.WRITE:
+                walk_cycles = round(walk_cycles * self.params.mlp_factor)
+            cycles += walk_cycles
+        engine.data_ref(acct, paddr, access is AccessType.FETCH)
         cycles += acct.data_cycles + extra_cycles
         self._s_cycles += cycles
         self._s_pt_refs += acct.table_refs

@@ -5,7 +5,7 @@ validator:
 
 * :func:`functional_view` — resolve the permission a checker *would* grant
   an S/U access without charging cycles, touching the PMPTW-Cache, or
-  bumping stats (unlike ``HPMPChecker.resolve``, which walks through the
+  bumping stats (unlike ``HPMPChecker.check``, which walks through the
   timed path).
 * :func:`live_table_pages` / :func:`live_gpt_pages` — recompute a table's
   reachable page set from its in-memory radix structure, for checking the

@@ -225,17 +225,18 @@ class VirtualMachine:
 
     # -- fences ------------------------------------------------------------------
 
+    # The 3D walk never reads the host's page-walk cache, so neither fence
+    # touches it: a guest fence must not make the host's next walk dearer.
+
     def hfence_vvma(self) -> int:
         """Flush VS-stage (combined) translations; G-stage survives."""
         self.tlb.flush()
-        self.machine.pwc.flush()
         return self.system.params.tlb_flush_cycles
 
     def hfence_gvma(self) -> int:
         """Flush G-stage translations (and therefore combined ones too)."""
         self.tlb.flush()
         self.g_tlb.flush()
-        self.machine.pwc.flush()
         return self.system.params.tlb_flush_cycles
 
     # -- the timed two-stage access path -------------------------------------------
@@ -251,17 +252,15 @@ class VirtualMachine:
         if entry is not None:
             return (entry.ppn << PAGE_SHIFT) | (gpa & PAGE_MASK)
         engine = self.engine
-        walk = self.npt.walk(gpa)
+        walk = self.npt.walk(gpa & ~PAGE_MASK)  # the page-level memo
         step_ref = engine.step_ref
         for step in walk.steps:
             step_ref(acct, step.pte_addr, RefKind.NPT, S)
-        entry = TLBEntry(
-            vpn=gpa >> PAGE_SHIFT, ppn=(walk.paddr & ~PAGE_MASK) >> PAGE_SHIFT, perm=walk.perm, user=True
-        )
+        entry = TLBEntry(gpa >> PAGE_SHIFT, walk.paddr >> PAGE_SHIFT, walk.perm, True)
         self.g_tlb.fill(entry)
         if engine._fill_hooks:
             engine.tlb_filled(entry, "gstage")
-        return walk.paddr
+        return walk.paddr | (gpa & PAGE_MASK)
 
     def _access_core(
         self,
@@ -302,7 +301,7 @@ class VirtualMachine:
             return cycles, hpa, True, 0, 0
         self._s_tlb_misses += 1
         try:
-            gwalk = guest_pt.walk(gva)
+            gwalk = guest_pt.walk(gva & ~PAGE_MASK)  # the page-level memo
         except BaseException as exc:
             raise engine.fault(exc)
         nested_resolve = self._nested_resolve  # bound once: the 3D-walk loop
@@ -314,19 +313,13 @@ class VirtualMachine:
             step_ref(acct, hpa_pte, RefKind.GUEST_PT, priv)
         if not gwalk.perm.allows(access):
             raise engine.fault(PageFault(gva, f"page permission {gwalk.perm} denies {access.value}"))
-        hpa_data = nested_resolve(acct, gwalk.paddr)
-        cost = engine.leaf_check(acct, hpa_data & ~PAGE_MASK, access, priv)
-        entry = TLBEntry(
-            vpn=gva >> PAGE_SHIFT,
-            ppn=(hpa_data & ~PAGE_MASK) >> PAGE_SHIFT,
-            perm=gwalk.perm,
-            user=True,
-            asid=asid,
-            checker_perm=cost.perm,
-        )
+        hpa_page = nested_resolve(acct, gwalk.paddr)
+        cost = engine.leaf_check(acct, hpa_page, access, priv)
+        entry = TLBEntry(gva >> PAGE_SHIFT, hpa_page >> PAGE_SHIFT, gwalk.perm, True, asid, cost.perm)
         self.tlb.fill(entry)
         if engine._fill_hooks:
             engine.tlb_filled(entry, "combined")
+        hpa_data = hpa_page | (gva & PAGE_MASK)
         engine.data_ref(acct, hpa_data, access is AccessType.FETCH)
         cycles += acct.walk_cycles + acct.data_cycles + extra_cycles
         refs = acct.total_refs

@@ -50,7 +50,6 @@ class TestNullChecker:
         checker = NullChecker()
         cost = checker.check(0xDEAD_BEE8, AccessType.WRITE, PrivilegeMode.USER)
         assert cost.refs == 0 and cost.perm == Permission.rwx()
-        assert checker.resolve(0x0) is not None
 
 
 class TestMakeFlatChecker:

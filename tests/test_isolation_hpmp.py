@@ -191,15 +191,12 @@ class TestHPMPChecker:
         checker.flush_caches()
         assert checker.check(tr.base, AccessType.READ).refs == 2
 
-    def test_resolve_none_permission_is_none(self, env):
-        checker, table, _s, tr = build(env)
-        table.set_page_perm(tr.base, Permission.none())
-        assert checker.resolve(tr.base) is None
-
-    def test_resolve_returns_full_perm(self, env):
-        checker, _t, _s, tr = build(env)
-        cost = checker.resolve(tr.base)
-        assert cost.perm == Permission.rw()
+    def test_check_returns_full_perm(self, env):
+        """A read returns the entry's whole R/W/X, which TLB inlining caches
+        so the entry also serves later writes to the page."""
+        checker, _t, seg, tr = build(env)
+        assert checker.check(tr.base, AccessType.READ).perm == Permission.rw()
+        assert checker.check(seg.base, AccessType.READ).perm == Permission.rwx()
 
     def test_stats_track_walks(self, env):
         checker, _t, _s, tr = build(env)

@@ -143,14 +143,10 @@ class TestPMPChecker:
         with pytest.raises(AccessFault):
             checker.check(0x8000_0000, AccessType.WRITE, PrivilegeMode.MACHINE)
 
-    def test_resolve_returns_full_permission(self):
+    def test_check_returns_full_permission(self):
         checker = self.make()
-        cost = checker.resolve(0x8000_0000)
+        cost = checker.check(0x8000_0000, AccessType.READ)
         assert cost.perm == Permission.rw()
-
-    def test_resolve_unmatched_is_none(self):
-        checker = self.make()
-        assert checker.resolve(0x9000_0000, PrivilegeMode.USER) is None
 
     def test_fault_statistics(self):
         checker = self.make()

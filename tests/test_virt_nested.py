@@ -150,6 +150,21 @@ class TestFences:
         hit = vm.guest_access(GVA).cycles
         assert cold > after_g > after_v > hit
 
+    @pytest.mark.parametrize("fence", ["hfence_vvma", "hfence_gvma"])
+    def test_guest_fence_keeps_host_page_walk_cache(self, fence):
+        """The 3D walk never reads the host's PWC, so a guest fence must not
+        flush it: the host's next walk still resumes at the leaf level."""
+        system, vm = build("pmp")
+        space = system.new_address_space()
+        space.map(GVA, PAGE_SIZE)
+        system.machine.cold_boot()
+        assert system.access(space, GVA).pt_refs == 3
+        system.machine.tlb.flush()  # host TLB only: the PWC stays warm
+        assert system.access(space, GVA).pt_refs == 1
+        system.machine.tlb.flush()
+        getattr(vm, fence)()
+        assert system.access(space, GVA).pt_refs == 1
+
 
 class TestGuestSemantics:
     def test_data_round_trip(self):
