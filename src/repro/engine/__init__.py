@@ -15,11 +15,10 @@ from .core import (
     register_default_hook_factory,
     unregister_default_hook_factory,
 )
-from .hooks import AccessStatsHook, EngineHook, HistogramHook, RecordingHook, RefKind, ReferenceEvent
+from .hooks import EngineHook, HistogramHook, RecordingHook, RefKind, ReferenceEvent
 
 __all__ = [
     "AccessBlock",
-    "AccessStatsHook",
     "Account",
     "EngineHook",
     "HistogramHook",

@@ -118,11 +118,12 @@ class ReferenceEngine:
     never alter timing — they observe after state is updated.
 
     Dispatch is partitioned per callback: each emission site iterates only
-    the hooks that *override* that callback, so an access-level hook (one
-    that overrides ``on_access`` but not ``on_reference``) adds nothing to
-    the per-reference path — the machine's inlined-TLB-hit fast path stays
-    enabled under it (see :attr:`wants_references`).  Always-on telemetry
-    (``repro.runner``'s default) relies on this.
+    the hooks that *override* that callback (``_ref_hooks``,
+    ``_access_hooks``, ``_fill_hooks``, ...), and callers guard on those
+    tuples.  So an access-level hook (one that overrides ``on_access`` but
+    not ``on_reference``) adds nothing to the per-reference path: the
+    scalar step still charges an inlined TLB hit's data reference without
+    an :class:`Account` under it.
     """
 
     __slots__ = (
@@ -170,26 +171,6 @@ class ReferenceEngine:
     @property
     def hooks(self) -> Tuple[EngineHook, ...]:
         return self._hooks
-
-    @property
-    def wants_references(self) -> bool:
-        """True when some hook overrides ``on_reference``.
-
-        Callers with a reference-free fast path (the machine's inlined TLB
-        hit) must fall back to the general path only in this case — access
-        completions can be published from the fast path itself.
-        """
-        return bool(self._ref_hooks)
-
-    @property
-    def wants_accesses(self) -> bool:
-        """True when some hook overrides ``on_access`` (guards :meth:`access_done`)."""
-        return bool(self._access_hooks)
-
-    @property
-    def wants_tlb_fills(self) -> bool:
-        """True when some hook overrides ``on_tlb_fill`` (guards :meth:`tlb_filled`)."""
-        return bool(self._fill_hooks)
 
     def set_checker(self, checker: IsolationChecker) -> None:
         """Attach (or replace) the isolation checker and notify observers.
@@ -327,12 +308,12 @@ class ReferenceEngine:
             cycles = 0
 
     def access_done(self, va: int, access: AccessType, cycles: int, tlb_hit: bool, refs: int) -> None:
-        """Publish a completed access (callers guard on :attr:`wants_accesses`)."""
+        """Publish a completed access (callers guard on ``_access_hooks``)."""
         for hook in self._access_hooks:
             hook.on_access(va, access, cycles, tlb_hit, refs)
 
     def tlb_filled(self, entry, which: str = "dtlb") -> None:
-        """Publish a TLB fill (callers guard on :attr:`wants_tlb_fills`)."""
+        """Publish a TLB fill (callers guard on ``_fill_hooks``)."""
         for hook in self._fill_hooks:
             hook.on_tlb_fill(entry, which)
 

@@ -11,10 +11,6 @@ Hooks are the pluggable observers of that stream:
   hot path pays one truthiness test on an empty tuple).
 * :class:`RecordingHook` — captures every event verbatim; used by tests
   and by the trace recorder.
-* :class:`AccessStatsHook` — access-level counters only; deliberately
-  leaves ``on_reference`` unoverridden so the per-reference path (and the
-  machine's inlined-hit fast path) pays nothing.  The campaign runner's
-  default telemetry.
 * :class:`HistogramHook` — aggregates the full stream into latency / refs
   histograms (see :class:`repro.common.stats.Histogram`), exported as JSON
   by :meth:`StatGroup.to_json <repro.common.stats.StatGroup.to_json>`.
@@ -141,53 +137,6 @@ class RecordingHook(EngineHook):
         self.accesses.clear()
         self.tlb_fills.clear()
         self.faults.clear()
-
-
-class AccessStatsHook(EngineHook):
-    """Access-level telemetry at near-zero hot-path cost.
-
-    Overrides only ``on_access`` / ``on_fault`` — never ``on_reference`` —
-    so the engine's per-reference dispatch stays empty and the machine's
-    inlined-TLB-hit fast path stays enabled.  The callbacks accumulate
-    plain integers; the :attr:`stats` group is materialized on read.  This
-    is the hook behind ``python -m repro run``'s default ``--telemetry
-    light``: campaigns get access counts, TLB hit rates, total references
-    and cycles without the per-reference cost of :class:`HistogramHook`.
-
-    Counters: ``accesses``, ``tlb_hits``, ``refs``, ``cycles``, ``faults``.
-    """
-
-    def __init__(self, name: str = "engine"):
-        self.name = name
-        self._accesses = 0
-        self._tlb_hits = 0
-        self._refs = 0
-        self._cycles = 0
-        self._faults = 0
-
-    def on_access(self, va: int, access: AccessType, cycles: int, tlb_hit: bool, refs: int) -> None:
-        self._accesses += 1
-        if tlb_hit:
-            self._tlb_hits += 1
-        self._refs += refs
-        self._cycles += cycles
-
-    def on_fault(self, exc: BaseException) -> None:
-        self._faults += 1
-
-    @property
-    def stats(self) -> StatGroup:
-        """The accumulated telemetry as a :class:`StatGroup` (built fresh
-        on every read; cheap, and keeps the callbacks free of dict work)."""
-        group = StatGroup(self.name)
-        if self._accesses:
-            group.bump("accesses", self._accesses)
-            group.bump("tlb_hits", self._tlb_hits)
-            group.bump("refs", self._refs)
-            group.bump("cycles", self._cycles)
-        if self._faults:
-            group.bump("faults", self._faults)
-        return group
 
 
 class HistogramHook(EngineHook):

@@ -94,10 +94,6 @@ class Translation:
     page_size: int
     steps: Tuple[WalkStep, ...]
 
-    @property
-    def page_base(self) -> int:
-        return self.paddr & ~(self.page_size - 1)
-
 
 class PageTable:
     """A radix page table living in simulated physical memory.

@@ -30,12 +30,12 @@ virtualized (Sv39x4) path composes.  Observability hooks installed on the
 engine see every reference; with no hooks installed the path stays as cheap
 as a hand-rolled loop.
 
-:meth:`Hart.access_run` is the one timed run loop.  :meth:`Hart.access_block`
-and :meth:`Hart.run_trace` (which run-length encodes a trace into a block)
-are adapters over it, and :class:`~repro.virt.nested.VirtualMachine` runs
-it with its combined TLB and 3D walk in place of the hart's TLB and walk.
-A single reference with a known address goes straight to the scalar step,
-``_access_core``.
+:meth:`Hart.access_run` is the one timed run loop and ``Hart._access_core``
+the one scalar step.  :meth:`Hart.access_block` and :meth:`Hart.run_trace`
+(which run-length encodes a trace into a block) are adapters over the loop.
+:class:`~repro.virt.nested.VirtualMachine` runs both, with its combined TLB
+in place of the hart's TLB and its 3D walk in place of ``Hart._walk``.  A
+single reference with a known address goes straight to the scalar step.
 
 Out-of-order overlap is modelled by ``MachineParams.mlp_factor``: BOOM hides
 part of the walk latency behind other work for loads; stores' permission
@@ -61,6 +61,13 @@ from ..mem.physical import PhysicalMemory
 from ..paging.pagetable import PageTable
 from ..paging.ptecache import PageWalkCache
 from ..paging.tlb import TLB, TLBEntry
+
+# Module constants: an enum member lookup (``AccessType.READ``) costs several
+# times a global's, and the scalar step and run loop test the access type
+# per reference.
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+_FETCH = AccessType.FETCH
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,9 @@ class Hart:
         (the single-hart default) creates a private LLC exactly as before.
     """
 
+    #: What TLB-fill hooks are told was filled (``which``).
+    _tlb_name = "dtlb"
+
     def __init__(
         self,
         params: MachineParams,
@@ -146,6 +156,7 @@ class Hart:
         self._s_pt_refs = 0
         self._s_checker_refs = 0
         self._s_tlb_misses = 0
+        self._s_fills = 0  # kept by the shared step; only the VM publishes it
         name = "machine" if hart_id == 0 else f"machine.hart{hart_id}"
         self.stats = StatGroup(name, sync=self._publish_stats)
         self._tlb_lookup = self.tlb.lookup
@@ -275,60 +286,64 @@ class Hart:
         asid: int,
         extra_cycles: int = 0,
     ) -> Tuple[int, int, bool, int, int]:
-        """The shared timed path; returns (cycles, paddr, tlb_hit, pt_refs, checker_refs).
+        """The one scalar step; returns (cycles, paddr, tlb_hit, table_refs, checker_refs).
 
+        A TLB hit tests the page permission, then the checker permission the
+        entry inlines; without one (TLB inlining off, or inlined permissions
+        dropped) it re-checks the data page.  A miss runs the owner's
+        ``_walk`` for the entry, checks the data page, inlines the result and
+        fills the TLB.  Either way the data reference is charged last.
         ``extra_cycles`` folds fixed non-memory compute work into both the
-        returned cycles *and* the ``machine`` stat group, so result-based
-        and stats-based reports agree (they account through this one path).
+        returned cycles *and* the owner's stats, so result-based and
+        stats-based reports agree.
+
+        :class:`~repro.virt.nested.VirtualMachine` runs this step too.  An
+        owner provides ``engine``, ``params``, ``tlb`` (with its bound
+        ``_tlb_lookup``), ``_hier_access``, the pooled ``_acct``, ``_walk``,
+        ``_tlb_name`` and the deferred counters ``_s_accesses``,
+        ``_s_cycles``, ``_s_tlb_misses``, ``_s_fills`` (completed misses),
+        ``_s_pt_refs`` and ``_s_checker_refs``.
         """
         engine = self.engine
         self._s_accesses += 1
         entry, cycles = self._tlb_lookup(va, asid)
         tlb_inlining = self.params.tlb_inlining
-        if (
-            entry is not None
-            and entry.checker_perm is not None
-            and tlb_inlining
-            and not engine._ref_hooks
-        ):
-            # Inlined-hit fast path: translation and isolation both resolve
-            # inside the TLB entry, so no Account (and no per-reference
-            # engine dispatch) is needed — only the data reference is
-            # charged.  Observable state (stats keys, cache/TLB state,
-            # cycles, published events) is identical to the general path
-            # below: an inlined hit issues exactly one (data) reference, so
-            # only a hook that watches individual references forces the
-            # general path; access-level hooks are fed from right here.
+        if entry is not None:
             # Permission.allows, unrolled: two method calls per reference
             # add up over multi-million-access workloads.
             perm = entry.perm
-            checker_perm = entry.checker_perm
-            if access is AccessType.READ:
-                page_ok, checker_ok = perm.r, checker_perm.r
-            elif access is AccessType.WRITE:
-                page_ok, checker_ok = perm.w, checker_perm.w
+            checker_perm = entry.checker_perm if tlb_inlining else None
+            if access is _READ:
+                page_ok, checker_ok = perm.r, checker_perm is None or checker_perm.r
+            elif access is _WRITE:
+                page_ok, checker_ok = perm.w, checker_perm is None or checker_perm.w
             else:
-                page_ok, checker_ok = perm.x, checker_perm.x
+                page_ok, checker_ok = perm.x, checker_perm is None or checker_perm.x
             if not page_ok:
-                raise engine.fault(
-                    PageFault(va, f"page permission {perm} denies {access.value}")
-                )
+                raise engine.fault(PageFault(va, f"page permission {perm} denies {access.value}"))
             if not checker_ok:
                 raise engine.fault(
                     AccessFault(entry.ppn << PAGE_SHIFT, access.value, "inlined perm denies")
                 )
             paddr = (entry.ppn << PAGE_SHIFT) | (va & PAGE_MASK)
-            cycles += (
-                self._hier_access(paddr, access is AccessType.FETCH)
-                + extra_cycles
-            )
-            self._s_cycles += cycles
-            if engine._access_hooks:
-                engine.access_done(va, access, cycles, True, 1)
-            return cycles, paddr, True, 0, 0
-        acct = self._acct.reset()
-        if entry is None:
+            if checker_perm is not None and not engine._ref_hooks:
+                # Only the data reference is left and no hook watches single
+                # references: charge it without an Account.  Published state
+                # is what the general path below would publish.
+                cycles += self._hier_access(paddr, access is _FETCH) + extra_cycles
+                self._s_cycles += cycles
+                if engine._access_hooks:
+                    engine.access_done(va, access, cycles, True, 1)
+                return cycles, paddr, True, 0, 0
+            acct = self._acct.reset()
+            if checker_perm is None:
+                cost = engine.leaf_check(acct, entry.ppn << PAGE_SHIFT, access, priv)
+                if tlb_inlining:
+                    entry.checker_perm = cost.perm
+            tlb_hit = True
+        else:
             self._s_tlb_misses += 1
+            acct = self._acct.reset()
             entry = self._walk(acct, page_table, va, access, priv)
             entry.asid = asid
             # Data-page check, inlined into the TLB entry at fill time.
@@ -336,33 +351,19 @@ class Hart:
             if tlb_inlining:
                 entry.checker_perm = cost.perm
             self.tlb.fill(entry)
+            self._s_fills += 1
             if engine._fill_hooks:
-                engine.tlb_filled(entry, "dtlb")
+                engine.tlb_filled(entry, self._tlb_name)
+            paddr = (entry.ppn << PAGE_SHIFT) | (va & PAGE_MASK)
             tlb_hit = False
-        else:
-            tlb_hit = True
-            if not entry.perm.allows(access):
-                raise engine.fault(
-                    PageFault(va, f"page permission {entry.perm} denies {access.value}")
-                )
-            if entry.checker_perm is not None and tlb_inlining:
-                if not entry.checker_perm.allows(access):
-                    raise engine.fault(
-                        AccessFault(entry.ppn << PAGE_SHIFT, access.value, "inlined perm denies")
-                    )
-            else:
-                cost = engine.leaf_check(acct, entry.ppn << PAGE_SHIFT, access, priv)
-                if tlb_inlining:
-                    entry.checker_perm = cost.perm
-        paddr = (entry.ppn << PAGE_SHIFT) | (va & PAGE_MASK)
         walk_cycles = acct.walk_cycles
         if walk_cycles:
             # Out-of-order overlap hides part of the walk behind other work;
             # store checks stay on the commit path.
-            if access is not AccessType.WRITE:
+            if access is not _WRITE:
                 walk_cycles = round(walk_cycles * self.params.mlp_factor)
             cycles += walk_cycles
-        engine.data_ref(acct, paddr, access is AccessType.FETCH)
+        engine.data_ref(acct, paddr, access is _FETCH)
         cycles += acct.data_cycles + extra_cycles
         self._s_cycles += cycles
         self._s_pt_refs += acct.table_refs
@@ -417,8 +418,8 @@ class Hart:
         ``engine``, ``block_mode``, ``params``, ``tlb``, ``hierarchy``, the
         scalar step ``_access_core`` and the ``_s_accesses`` / ``_s_cycles``
         counters, so :class:`~repro.virt.nested.VirtualMachine` runs it on
-        itself, with its combined TLB as ``tlb`` and its 3D walk as
-        ``_access_core``.
+        itself, with its combined TLB as ``tlb`` and the same scalar step,
+        whose walk there is the 3D walk.
         """
         step = self._access_core
         engine = self.engine
@@ -433,7 +434,7 @@ class Hart:
             and not engine._access_hooks
         )
         tlb = self.tlb
-        is_fetch = access is AccessType.FETCH
+        is_fetch = access is _FETCH
         total = hits = pt_refs = checker_refs = 0
         i = 0
         while i < count:
@@ -454,9 +455,9 @@ class Hart:
                 if entry is not None and entry.checker_perm is not None:
                     perm = entry.perm
                     checker_perm = entry.checker_perm
-                    if access is AccessType.READ:
+                    if access is _READ:
                         ok = perm.r and checker_perm.r
-                    elif access is AccessType.WRITE:
+                    elif access is _WRITE:
                         ok = perm.w and checker_perm.w
                     else:
                         ok = perm.x and checker_perm.x
@@ -638,13 +639,6 @@ class Machine(Hart):
         super().cold_boot()
         for hart in self.harts[1:]:
             hart.cold_boot()
-
-    def sfence_vma_all(self, asid: Optional[int] = None) -> int:
-        """Flush every hart's TLB+PWC; returns the summed cycle cost."""
-        cycles = 0
-        for hart in self.harts:
-            cycles += hart.sfence_vma(asid)
-        return cycles
 
     def hart_stats(self) -> List[StatGroup]:
         """Per-hart ``machine`` stat groups, in hart order."""

@@ -116,10 +116,6 @@ class SecureMonitor:
             self._observers.append(observer)
         return observer
 
-    def remove_observer(self, observer: Callable[..., None]) -> None:
-        """Unregister a previously added observer (no-op if absent)."""
-        self._observers = [obs for obs in self._observers if obs is not observer]
-
     def _notify(self, event: str, **payload) -> None:
         for observer in self._observers:
             observer(event, **payload)

@@ -88,14 +88,6 @@ class FuzzReport:
         if len(self.violations) < _MAX_VIOLATIONS:
             self.violations.append(message)
 
-    def raise_if_failed(self) -> None:
-        if not self.ok:
-            first = "\n  ".join(self.violations[:10])
-            raise VerificationError(
-                f"{self.scheme} fuzz (ops={self.ops}, seed={self.seed}) found "
-                f"{len(self.violations)} violation(s):\n  {first}"
-            )
-
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         where = (

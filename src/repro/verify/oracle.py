@@ -27,9 +27,6 @@ from ..isolation.pmptable import (
     MODE_3LEVEL,
     MODE_FLAT,
     PMPTable,
-    root_pmpte_is_huge,
-    root_pmpte_is_valid,
-    root_pmpte_leaf_pa,
 )
 from ..tee.gms import GMS
 from ..tee.monitor import HOST_DOMAIN_ID, SecureMonitor
@@ -156,33 +153,6 @@ class TableWriteModel:
             return self._flat_frames
         leaves = sum(1 for state in self._slots.values() if state == "leaf")
         return 1 + len(self._tops) + leaves
-
-    # -- initialization from an existing table --------------------------------
-
-    def sync_from(self, table: PMPTable) -> None:
-        """Adopt the slot states of an already-populated real table."""
-        self._tops.clear()
-        self._slots.clear()
-        if table.mode == MODE_FLAT:
-            return
-        mem = table.memory
-        roots: List[tuple] = []  # (root table PA, slot base)
-        if table.mode == MODE_3LEVEL:
-            for top_idx in range(ENTRIES_PER_TABLE):
-                top = mem.read64(table.root_pa + top_idx * 8)
-                if root_pmpte_is_valid(top):
-                    self._tops.add(top_idx)
-                    roots.append((root_pmpte_leaf_pa(top), top_idx * ENTRIES_PER_TABLE))
-        else:
-            roots.append((table.root_pa, 0))
-        for root_pa, slot_base in roots:
-            for off1 in range(ENTRIES_PER_TABLE):
-                pmpte = mem.read64(root_pa + off1 * 8)
-                if not root_pmpte_is_valid(pmpte):
-                    continue
-                self._slots[slot_base + off1] = (
-                    "huge" if root_pmpte_is_huge(pmpte) else "leaf"
-                )
 
 
 class MonitorOracle:

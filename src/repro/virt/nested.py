@@ -12,9 +12,11 @@ The timed path routes through the host machine's shared
 the data reference are priced by the same check → charge → account pipeline
 as the native path, tagged :data:`RefKind.GUEST_PT` / :data:`RefKind.NPT` /
 :data:`RefKind.DATA` so observability hooks can attribute every reference
-of the 3D walk.  Runs go through the hart's run loop,
-:meth:`Hart.access_run <repro.soc.machine.Hart.access_run>`, with the
-combined TLB and the 3D walk in place of the hart's TLB and walk.
+of the 3D walk.  A guest access is the hart's scalar step,
+``Hart._access_core``, and a guest run the hart's run loop,
+:meth:`Hart.access_run <repro.soc.machine.Hart.access_run>`, both run on
+the VM: the combined TLB stands in for the hart's TLB and the 3D walk,
+:meth:`VirtualMachine._walk`, for the hart's page-table walk.
 
 ``GuestMemoryView`` lets the stock :class:`~repro.paging.pagetable.PageTable`
 build *guest* page tables: it looks like a physical memory addressed by GPA
@@ -24,9 +26,9 @@ but stores through the backing map to host memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..common.errors import AccessFault, AlignmentError, GuestPageFault, PageFault
+from ..common.errors import AlignmentError, GuestPageFault, PageFault
 from ..common.params import MachineParams
 from ..common.stats import StatGroup
 from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, Permission, PrivilegeMode
@@ -129,6 +131,9 @@ class VirtualMachine:
         Back guest data pages with scattered host frames (the §8.8 cases).
     """
 
+    #: What TLB-fill hooks are told was filled (``which``).
+    _tlb_name = "combined"
+
     def __init__(
         self,
         system: System,
@@ -162,25 +167,32 @@ class VirtualMachine:
         params = system.params
         self.tlb = TLB(params.l1_tlb, params.l2_tlb)
         self.g_tlb = TLB(params.l1_tlb, params.l2_tlb)
-        # Deferred per-access statistics (published into ``stats`` on read)
-        # plus one pooled Account reset per guest access — the 3D walk is
-        # the virtualized hot path.  Misses are counted, as on the hart, so a
-        # fused charge bumps the same two counters here as there.
+        # What the hart's scalar step reads on its owner (see
+        # Hart._access_core): deferred per-access statistics (published into
+        # ``stats`` on read), hot-path bindings and one pooled Account.
         self._s_accesses = 0
         self._s_tlb_misses = 0
+        self._s_fills = 0
         self._s_cycles = 0
-        self._s_refs = 0
+        self._s_pt_refs = 0
         self._s_checker_refs = 0
         self.stats = StatGroup("vm", sync=self._publish_stats)
+        self._tlb_lookup = self.tlb.lookup
+        self._hier_access = self.hierarchy.access
         self._acct = Account()
 
     @property
     def params(self) -> MachineParams:
-        """The host machine's current parameters (read by the run loop's guard)."""
+        """The host machine's current parameters (read by the step and the run loop)."""
         return self.machine.params
 
     def _publish_stats(self) -> None:
-        """Sync point: fold pending guest-access deltas into the StatGroup."""
+        """Sync point: fold pending guest-access deltas into the StatGroup.
+
+        ``refs`` is the table and checker references of the completed
+        accesses plus one data reference per completed miss: a miss can
+        only fault before its fill, so ``_s_fills`` counts exactly those.
+        """
         if self._s_accesses:
             hits = self._s_accesses - self._s_tlb_misses
             self.stats.bump("accesses", self._s_accesses)
@@ -191,9 +203,11 @@ class VirtualMachine:
         if self._s_cycles:
             self.stats.bump("cycles", self._s_cycles)
             self._s_cycles = 0
-        if self._s_refs:
-            self.stats.bump("refs", self._s_refs)
-            self._s_refs = 0
+        refs = self._s_pt_refs + self._s_checker_refs + self._s_fills
+        if refs:
+            self.stats.bump("refs", refs)
+            self._s_pt_refs = 0
+            self._s_fills = 0
         if self._s_checker_refs:
             self.stats.bump("checker_refs", self._s_checker_refs)
             self._s_checker_refs = 0
@@ -262,44 +276,24 @@ class VirtualMachine:
             engine.tlb_filled(entry, "gstage")
         return walk.paddr | (gpa & PAGE_MASK)
 
-    def _access_core(
+    def _walk(
         self,
+        acct: Account,
         guest_pt: PageTable,
         gva: int,
         access: AccessType,
         priv: PrivilegeMode,
-        asid: int,
-        extra_cycles: int = 0,
-    ) -> Tuple[int, int, bool, int, int]:
-        """The 3D walk: the run loop's scalar step on this VM.
+    ) -> TLBEntry:
+        """The 3D walk: the counterpart of ``Hart._walk``; builds the combined entry.
 
-        Returns ``(cycles, hpa, combined_tlb_hit, table_refs, checker_refs)``,
-        the shape of the hart's step; ``table_refs`` counts guest-PT and
-        nested-PT references.  Every guest-PT step first resolves its own GPA
-        through the G stage (:data:`RefKind.NPT` references), then is checked
-        and read itself (:data:`RefKind.GUEST_PT`).  The guest PTE's R/W/X is
-        checked against the access type, then the data GPA takes one more
-        G-stage resolve, the data-page check (inlined into the combined-TLB
-        entry) and the data reference.  A combined-TLB hit checks both
-        permissions the entry carries and issues only the data reference.
+        Every guest-PT step first resolves its own GPA through the G stage
+        (:data:`RefKind.NPT` references), then is checked and read itself
+        (:data:`RefKind.GUEST_PT`).  The guest PTE's R/W/X is checked against
+        the access type, and the data GPA takes one more G-stage resolve.
+        The shared step does the rest: the data-page check, the fill and
+        the data reference.
         """
         engine = self.engine
-        self._s_accesses += 1
-        acct = self._acct.reset()
-        entry, cycles = self.tlb.lookup(gva, asid)
-        if entry is not None:
-            if not entry.perm.allows(access):
-                raise engine.fault(PageFault(gva, f"page permission {entry.perm} denies {access.value}"))
-            if not entry.checker_perm.allows(access):
-                raise engine.fault(AccessFault(entry.ppn << PAGE_SHIFT, access.value, "inlined perm denies"))
-            hpa = (entry.ppn << PAGE_SHIFT) | (gva & PAGE_MASK)
-            engine.data_ref(acct, hpa, access is AccessType.FETCH)
-            cycles += acct.data_cycles + extra_cycles
-            self._s_cycles += cycles
-            if engine._access_hooks:
-                engine.access_done(gva, access, cycles, True, 1)
-            return cycles, hpa, True, 0, 0
-        self._s_tlb_misses += 1
         try:
             gwalk = guest_pt.walk(gva & ~PAGE_MASK)  # the page-level memo
         except BaseException as exc:
@@ -314,21 +308,10 @@ class VirtualMachine:
         if not gwalk.perm.allows(access):
             raise engine.fault(PageFault(gva, f"page permission {gwalk.perm} denies {access.value}"))
         hpa_page = nested_resolve(acct, gwalk.paddr)
-        cost = engine.leaf_check(acct, hpa_page, access, priv)
-        entry = TLBEntry(gva >> PAGE_SHIFT, hpa_page >> PAGE_SHIFT, gwalk.perm, True, asid, cost.perm)
-        self.tlb.fill(entry)
-        if engine._fill_hooks:
-            engine.tlb_filled(entry, "combined")
-        hpa_data = hpa_page | (gva & PAGE_MASK)
-        engine.data_ref(acct, hpa_data, access is AccessType.FETCH)
-        cycles += acct.walk_cycles + acct.data_cycles + extra_cycles
-        refs = acct.total_refs
-        self._s_cycles += cycles
-        self._s_refs += refs
-        self._s_checker_refs += acct.checker_refs
-        if engine._access_hooks:
-            engine.access_done(gva, access, cycles, False, refs)
-        return cycles, hpa_data, False, acct.table_refs, acct.checker_refs
+        return TLBEntry(gva >> PAGE_SHIFT, hpa_page >> PAGE_SHIFT, gwalk.perm, True)
+
+    #: The hart's scalar step, run on this VM with :meth:`_walk` as its walk.
+    _access_core = Hart._access_core
 
     def access(self, gva: int, access: AccessType = AccessType.READ) -> GuestAccessResult:
         """One timed guest memory access (the paper's hlv.d probe)."""
@@ -343,8 +326,8 @@ class VirtualMachine:
 
         State-identical to *count* :meth:`access` calls: this is
         :meth:`Hart.access_run <repro.soc.machine.Hart.access_run>`, run with
-        the combined TLB as ``self.tlb`` and the 3D walk as the scalar step,
-        under the host machine's block mode and hook set.
+        the combined TLB as ``self.tlb`` and the shared scalar step, under
+        the host machine's block mode and hook set.
         """
         return self._run(self.guest_pt, gva, stride, count, access, S)[0]
 

@@ -134,13 +134,6 @@ class ArrayMap:
         span instead of *count* scalar reads — byte-identical timing and
         state, one Python call.
         """
-        return self._run(name, index, count, stride_elems, _READ)
-
-    def write_run(self, name: str, index: int, count: int, stride_elems: int = 1) -> int:
-        """Timed write of *count* elements from *index* on; returns cycles."""
-        return self._run(name, index, count, stride_elems, _WRITE)
-
-    def _run(self, name: str, index: int, count: int, stride_elems: int, access: AccessType) -> int:
         arr = self._arrays[name]
         if count <= 0:
             return 0
@@ -154,7 +147,7 @@ class ArrayMap:
             arr.base_va + index * arr.elem_bytes,
             stride_elems * arr.elem_bytes,
             count,
-            access,
+            _READ,
             U,
             self._asid,
         )[0]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.common.errors import PageFault
 from repro.common.types import PAGE_SIZE, AccessType, PrivilegeMode
-from repro.engine import AccessStatsHook, EngineHook, HistogramHook, RecordingHook, RefKind
+from repro.engine import EngineHook, HistogramHook, RecordingHook, RefKind
 from repro.soc.system import System
 from repro.virt.nested import GUEST_DRAM_BASE, VirtualMachine
 
@@ -91,7 +91,36 @@ class TestEventStream:
         assert fills.count("gstage") == 4
 
 
+def cache_state(system):
+    """Hierarchy stats plus every cache's resident lines and stats."""
+    hier = system.machine.hierarchy
+    caches = [([list(s) for s in c._sets], c.stats.snapshot()) for c in (hier.l1d, hier.l1i, hier.l2, hier.llc)]
+    return hier.stats.snapshot(), caches
+
+
 class TestHooksNeverAlterTiming:
+    @pytest.mark.parametrize("kind,gpt", [("pmpt", False), ("hpmp", False), ("hpmp", True), ("pmp", False)])
+    def test_guest_cycles_identical_with_and_without_hook(self, kind, gpt):
+        """fig13's four schemes: cold, warm and run guest accesses."""
+
+        def run(hooked):
+            system = System(machine="rocket", checker_kind=kind, mem_mib=256)
+            vm = VirtualMachine(system, guest_pages=64, gpt_contiguous=gpt)
+            vm.guest_map_range(GVA, GUEST_DRAM_BASE, 6 * PAGE_SIZE)
+            system.machine.cold_boot()
+            hook = system.machine.engine.install_hook(RecordingHook()) if hooked else None
+            pages = [GVA + i * PAGE_SIZE for i in range(4)]
+            results = [vm.access(gva) for gva in pages]  # cold
+            results += [vm.access(gva, AccessType.WRITE) for gva in pages]  # warm
+            cycles = [
+                vm.access_run(GVA + 2 * PAGE_SIZE, 64, 256),  # two warm pages, two cold
+                vm.access_run(GVA, 0, 16, AccessType.WRITE),
+            ]
+            assert hook is None or len(hook.accesses) == 8 + 256 + 16
+            return results, cycles, vm.stats.snapshot(), system.machine.stats.snapshot(), cache_state(system)
+
+        assert run(hooked=True) == run(hooked=False)
+
     @pytest.mark.parametrize("kind", ["pmp", "pmpt", "hpmp"])
     def test_cycles_identical_with_and_without_hook(self, kind):
         bare_system, bare_space = make_system(kind)
@@ -143,47 +172,63 @@ class TestHooksNeverAlterTiming:
         assert result.tlb_hits == stats["accesses"] - stats["tlb_misses"]
 
 
+class AccessCounter(EngineHook):
+    """Overrides ``on_access`` only: an access-level observer."""
+
+    def __init__(self):
+        self.accesses = self.tlb_hits = self.refs = self.cycles = 0
+
+    def on_access(self, va, access, cycles, tlb_hit, refs):
+        self.accesses += 1
+        self.tlb_hits += tlb_hit
+        self.refs += refs
+        self.cycles += cycles
+
+
 class TestPartitionedDispatch:
     """The engine dispatches each callback only to hooks that override it."""
 
     def test_partition_membership_tracks_overrides(self):
         system, _ = make_system("pmpt")
         engine = system.machine.engine
-        access_only = engine.install_hook(AccessStatsHook("t"))
-        assert engine.wants_accesses and not engine.wants_references
+        access_only = engine.install_hook(AccessCounter())
+        assert engine._access_hooks == (access_only,) and not engine._ref_hooks
         recording = engine.install_hook(RecordingHook())
-        assert engine.wants_references and engine.wants_tlb_fills
+        assert engine._ref_hooks == engine._fill_hooks == (recording,)
         engine.remove_hook(recording)
-        assert not engine.wants_references  # partition rebuilt on removal
+        assert not engine._ref_hooks  # partition rebuilt on removal
         engine.remove_hook(access_only)
-        assert not engine.wants_accesses and not engine.has_hooks
+        assert not engine._access_hooks and not engine.has_hooks
 
     def test_access_level_hook_keeps_fast_path_and_sees_every_access(self):
-        # An on_access-only hook must not force warm hits onto the general
-        # path — and must still be fed the completed access from the fast
-        # path itself.
+        # An on_access-only hook must not force warm hits to charge their
+        # data reference through an Account, and must still be fed each
+        # completed access from that branch.
         system, space = make_system("pmpt")
-        hook = system.machine.engine.install_hook(AccessStatsHook("t"))
+        hook = system.machine.engine.install_hook(AccessCounter())
+        acct = system.machine._acct
         results = [system.access(space, VA) for _ in range(3)]  # 1 miss + 2 inlined hits
-        stats = hook.stats
-        assert stats["accesses"] == 3
-        assert stats["tlb_hits"] == 2
-        assert stats["cycles"] == sum(r.cycles for r in results)
-        assert stats["refs"] == sum(r.total_refs for r in results)
+        # The hits left the miss's Account as the miss left it.
+        assert acct.table_refs == results[0].pt_refs > 0
+        assert hook.accesses == 3
+        assert hook.tlb_hits == 2
+        assert hook.cycles == sum(r.cycles for r in results)
+        assert hook.refs == sum(r.total_refs for r in results)
 
     def test_access_level_hook_matches_full_hook_event_stream(self):
-        # Same workload observed through the fast path (AccessStatsHook) and
-        # the general path (HistogramHook): identical access-level counts.
+        # Same workload observed by an access-level hook (data charged
+        # without an Account on hits) and by HistogramHook (every reference
+        # through the engine): identical access-level counts.
         a_system, a_space = make_system("pmpt")
-        light = a_system.machine.engine.install_hook(AccessStatsHook("t"))
+        light = a_system.machine.engine.install_hook(AccessCounter())
         b_system, b_space = make_system("pmpt")
         full = b_system.machine.engine.install_hook(HistogramHook("t"))
         for i in range(6):
             va = VA + (i % 2) * PAGE_SIZE
             assert a_system.access(a_space, va) == b_system.access(b_space, va)
-        assert light.stats["accesses"] == full.stats["accesses"] == 6
-        assert light.stats["tlb_hits"] == full.stats["tlb_hits"]
-        assert light.stats["cycles"] == full.stats.histogram("access_cycles").total
+        assert light.accesses == full.stats["accesses"] == 6
+        assert light.tlb_hits == full.stats["tlb_hits"]
+        assert light.cycles == full.stats.histogram("access_cycles").total
 
     def test_on_checker_fires_at_install_and_attach(self):
         seen = []

@@ -251,3 +251,30 @@ class TestSchemeOrdering:
             system.machine.cold_boot()
             cycles[label] = vm.guest_access(GVA).cycles
         assert cycles["pmp"] < cycles["hpmp-gpt"] < cycles["hpmp"] < cycles["pmpt"]
+
+
+class TestSharedStep:
+    """A guest access is the hart's scalar step with the 3D walk as its walk,
+    so TLB inlining and out-of-order overlap apply to it as to a native one."""
+
+    def test_without_inlining_combined_hit_rechecks_data_page(self):
+        # The guest twin of test_reference_counts'
+        # test_without_inlining_hit_still_walks_table.
+        system, vm = build("pmpt")
+        system.machine.params = system.params.with_(tlb_inlining=False)
+        vm.guest_access(GVA)
+        result = vm.guest_access(GVA)
+        assert result.combined_tlb_hit
+        assert result.checker_refs == 2  # permission table walked on every hit
+
+    @pytest.mark.parametrize("machine", ["rocket", "boom"])
+    def test_cold_read_overlaps_its_walk_like_a_native_load(self, machine):
+        cycles = {}
+        for access in (AccessType.READ, AccessType.WRITE):
+            system, vm = build("pmpt", machine=machine)
+            system.machine.cold_boot()
+            cycles[access] = vm.guest_access(GVA, access).cycles
+        if machine == "boom":
+            assert cycles[AccessType.READ] < cycles[AccessType.WRITE]
+        else:
+            assert cycles[AccessType.READ] == cycles[AccessType.WRITE]
