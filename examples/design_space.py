@@ -75,20 +75,19 @@ def main() -> None:
         params = machine_params("rocket").with_(
             pmptw_cache_entries=entries, pmptw_cache_enabled=entries > 0
         )
-        system = System(params_override=params, checker_kind="pmpt", mem_mib=256,
-                        pmptw_cache_enabled=entries > 0)
+        system = System(machine=params, checker_kind="pmpt", mem_mib=256)
         print(f"  {entries:3d} entries: {chase(system):7.1f} cycles/access")
 
     print("\nPage-walk-cache size (hpmp checker, contiguous scan with re-walks):")
     for entries in (0, 8, 32):
         params = machine_params("rocket").with_(ptecache_entries=entries)
-        system = System(params_override=params, checker_kind="hpmp", mem_mib=256)
+        system = System(machine=params, checker_kind="hpmp", mem_mib=256)
         print(f"  {entries:3d} entries: {scan(system):7.1f} cycles/access")
 
     print("\nTLB permission inlining (pmpt checker, hot loop):")
     for inlining in (True, False):
         params = machine_params("rocket").with_(tlb_inlining=inlining)
-        system = System(params_override=params, checker_kind="pmpt", mem_mib=256)
+        system = System(machine=params, checker_kind="pmpt", mem_mib=256)
         print(f"  {'on ' if inlining else 'off'}: {hot_loop(system):7.1f} cycles/access")
 
 

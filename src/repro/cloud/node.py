@@ -19,7 +19,7 @@ consolidation story hinges on:
   points so the allocation hot path never pays for the gauge.
 
 Work quanta are emitted as ``access_run`` spans (a random write is one
-scalar access), so block mode carries the whole horizon; a thousand
+scalar access), so fused run charges carry the whole horizon; a thousand
 lifecycles stay a seconds-scale simulation.
 
 Determinism: a node is a pure function of ``(scheme, machine, mem_mib,

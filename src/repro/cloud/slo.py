@@ -1,13 +1,9 @@
 """Per-tenant-class SLO accounting for the cloud node.
 
-Each tenant class owns a :class:`~repro.engine.hooks.HistogramHook` used as
-a histogram container: the node observes *lifecycle-level* latencies
-(launch, attest, work quantum, teardown cycles) into the hook's
-:class:`~repro.common.stats.StatGroup` rather than attaching the hook to an
-engine.  That distinction is load-bearing — an attached hook overrides the
-per-reference callbacks and would force every machine onto the scalar
-path, while lifecycle-level observation keeps the fused block-execution
-path hot for the thousands of lifecycles a cell simulates.
+Each tenant class owns a :class:`~repro.common.stats.StatGroup`: the node
+observes *lifecycle-level* latencies (launch, attest, work quantum,
+teardown cycles) into its histograms and counts tenants, rejections and
+references beside them.
 
 Accounts snapshot to JSON (:meth:`SLOAccount.snapshot`) and fold back with
 a pure merge (:meth:`SLOAccount.from_snapshots`), which is what lets the
@@ -19,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping
 
-from ..engine.hooks import HistogramHook
+from ..common.stats import StatGroup
 
 #: Lifecycle phases observed per tenant class (histogram key ``<phase>_cycles``).
 PHASES = ("launch", "attest", "work", "teardown")
@@ -30,32 +26,32 @@ class SLOAccount:
 
     def __init__(self, name: str = "cloud"):
         self.name = name
-        self._hooks: Dict[str, HistogramHook] = {}
+        self._groups: Dict[str, StatGroup] = {}
 
-    def hook_for(self, tclass: str) -> HistogramHook:
-        """The class's histogram container, created on first use."""
-        hook = self._hooks.get(tclass)
-        if hook is None:
-            hook = self._hooks[tclass] = HistogramHook(f"{self.name}.{tclass}")
-        return hook
+    def group_for(self, tclass: str) -> StatGroup:
+        """The class's stat group, created on first use."""
+        group = self._groups.get(tclass)
+        if group is None:
+            group = self._groups[tclass] = StatGroup(f"{self.name}.{tclass}")
+        return group
 
     def observe(self, tclass: str, phase: str, cycles: int) -> None:
         """Record one phase latency; also accumulates the class's cycle total."""
-        stats = self.hook_for(tclass).stats
+        stats = self.group_for(tclass)
         stats.observe(f"{phase}_cycles", cycles)
         stats.bump("cycles", cycles)
 
     def bump(self, tclass: str, key: str, amount: int = 1) -> None:
-        self.hook_for(tclass).stats.bump(key, amount)
+        self.group_for(tclass).bump(key, amount)
 
     def classes(self) -> List[str]:
-        return sorted(self._hooks)
+        return sorted(self._groups)
 
     # -- snapshot / merge (the shard fold) -----------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """JSON-safe per-class payloads (counters + histogram snapshots)."""
-        return {tclass: hook.stats.to_payload() for tclass, hook in sorted(self._hooks.items())}
+        return {tclass: group.to_payload() for tclass, group in sorted(self._groups.items())}
 
     @classmethod
     def from_snapshots(
@@ -65,7 +61,7 @@ class SLOAccount:
         account = cls(name)
         for snap in snapshots:
             for tclass, payload in snap.items():
-                account.hook_for(tclass).stats.merge_payload(payload)
+                account.group_for(tclass).merge_payload(payload)
         return account
 
     # -- report rows ---------------------------------------------------------
@@ -80,7 +76,7 @@ class SLOAccount:
         """
         rows: List[Dict[str, object]] = []
         for tclass in self.classes():
-            stats = self.hook_for(tclass).stats
+            stats = self._groups[tclass]
             hists = stats.histograms()
             row: Dict[str, object] = {
                 "tenant_class": tclass,

@@ -1,4 +1,4 @@
-"""Block execution: run-length-encoded access spans and the mode switch.
+"""Block execution: run-length-encoded access spans.
 
 Workload models that issue many references with a known shape (strided CSR
 scans, same-object field touches, PTE store sweeps) can describe them as an
@@ -15,13 +15,9 @@ follow-on reference lands on the line the previous one made MRU) and falls
 back to the scalar pipeline at every regime edge, so blocks are
 state-identical to the equivalent scalar loop — same cycles, same stats,
 same cache/TLB residency, same faults.  ``tests/test_block_exec.py`` proves
-that equivalence differentially for every workload generator.
-
-The process-wide default lives here: campaigns run with block mode enabled;
-``python -m repro run --no-block`` (or ``Machine(block_mode=False)``) pins
-the scalar path, which the differential tests exercise.  The mode is read
-once per :class:`~repro.soc.machine.Machine` at construction, so flipping
-it mid-cell never changes an existing machine's behaviour.
+that equivalence differentially for every workload generator, against the
+same work observed by an access hook, which keeps every reference on the
+scalar step.
 """
 
 from __future__ import annotations
@@ -29,21 +25,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..common.types import AccessType
-
-#: Process-wide default for machines built from now on.  Blocks are proven
-#: state-identical to scalar execution, so this defaults on.
-_BLOCK_MODE = True
-
-
-def set_block_mode(enabled: bool) -> None:
-    """Set the process-wide default for machines built from now on."""
-    global _BLOCK_MODE
-    _BLOCK_MODE = bool(enabled)
-
-
-def block_mode_enabled() -> bool:
-    """The current process-wide default (read by ``Machine.__init__``)."""
-    return _BLOCK_MODE
 
 
 class AccessBlock:

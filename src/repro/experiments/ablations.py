@@ -52,8 +52,8 @@ def run_tlb_inlining(machine: str = "rocket", accesses: int = 64) -> List[Dict[s
     """Steady-state cost of a hot loop with and without TLB inlining."""
     rows = []
     for inlining in (True, False):
-        system = System(machine=machine, checker_kind="pmpt", mem_mib=128)
-        system.machine.params = system.params.with_(tlb_inlining=inlining)
+        params = machine_params(machine).with_(tlb_inlining=inlining)
+        system = System(machine=params, checker_kind="pmpt", mem_mib=128)
         space = system.new_address_space()
         space.map(PROBE_VA, 4 * PAGE_SIZE)
         system.machine.cold_boot()
@@ -80,8 +80,7 @@ def run_pmptw_cache_sweep(machine: str = "rocket", sizes=(0, 2, 4, 8, 16, 32)) -
         if entries > 0:
             # The exact size (run_fragmentation uses the params default of 8).
             params = machine_params(machine).with_(pmptw_cache_entries=entries, pmptw_cache_enabled=True)
-            system = System(params_override=params, checker_kind="pmpt", mem_mib=256, scatter_data_frames=True,
-                            pmptw_cache_enabled=True)
+            system = System(machine=params, checker_kind="pmpt", mem_mib=256, scatter_data_frames=True)
             space = system.new_address_space()
             vas = [0x10_0000_0000 + i * FRAGMENTED_VA_STRIDE for i in range(48)]
             for va in vas:

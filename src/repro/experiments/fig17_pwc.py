@@ -20,7 +20,7 @@ def run(machine: str = "rocket", functions=FUNCTIONS, pwc_sizes=PWC_SIZES) -> Li
         for pwc in pwc_sizes:
             params = machine_params(machine).with_(ptecache_entries=pwc)
             for kind in KINDS:
-                result = run_function(function, kind, machine=machine, params_override=params)
+                result = run_function(function, kind, machine=params)
                 cycles[f"{kind}({pwc})"] = result.total_cycles
         base = cycles[f"pmp({pwc_sizes[0]})"]
         row: Dict[str, object] = {"function": function}

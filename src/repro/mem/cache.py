@@ -5,7 +5,7 @@ The cache tracks which line addresses are resident (tags only — data lives in
 ``insert`` fills a line and returns the victim tag if one was evicted, and
 :func:`lookup_fill_path` fuses the two over a whole L1 → L2 → LLC path for
 the hierarchy's per-reference hot path (``lookup_fill`` is one level of it).
-Replacement is true LRU by default; ``random`` is available for ablations.
+Replacement is true LRU.
 
 Hot-path engineering (see DESIGN.md "Hot path engineering"): each set is a
 flat Python list of line addresses ordered MRU-first, allocated on the
@@ -21,7 +21,6 @@ when somebody reads it.
 
 from __future__ import annotations
 
-import random as _random
 from typing import List, Optional, Sequence
 
 from ..common.errors import ConfigurationError
@@ -37,13 +36,9 @@ class Cache:
     ----------
     params:
         Geometry (size, ways, line size) and hit latency.
-    replacement:
-        ``"lru"`` (default) or ``"random"``.
-    seed:
-        RNG seed used only by random replacement, for reproducibility.
     """
 
-    def __init__(self, params: CacheParams, replacement: str = "lru", seed: int = 0):
+    def __init__(self, params: CacheParams):
         if params.size_bytes % (params.ways * params.line_bytes) != 0:
             raise ConfigurationError(
                 f"{params.name}: size {params.size_bytes} not divisible by "
@@ -55,11 +50,6 @@ class Cache:
         self.num_sets = params.sets
         if not is_pow2(self.num_sets):
             raise ConfigurationError(f"{params.name}: set count {self.num_sets} not a power of two")
-        if replacement not in ("lru", "random"):
-            raise ConfigurationError(f"unknown replacement policy {replacement!r}")
-        self._replacement = replacement
-        self._lru = replacement == "lru"
-        self._rng = _random.Random(seed)
         self._line_shift = params.line_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
         self._ways = params.ways
@@ -95,18 +85,6 @@ class Cache:
     def line_addr(self, paddr: int) -> int:
         """The line-aligned address containing *paddr*."""
         return paddr >> self._line_shift << self._line_shift
-
-    def _evict(self, cset: List[int]) -> int:
-        """Drop and return one resident line of a full set."""
-        if self._lru:
-            victim = cset.pop()
-        else:
-            # Preserve the historical draw: the OrderedDict implementation
-            # picked uniformly over LRU→MRU order, i.e. our list reversed.
-            victim = self._rng.choice(cset[::-1])
-            cset.remove(victim)
-        self._evictions += 1
-        return victim
 
     def lookup_fill(self, paddr: int) -> bool:
         """Fused probe+insert: return True on hit, fill (evicting) on miss.
@@ -164,7 +142,8 @@ class Cache:
             return None
         victim: Optional[int] = None
         if len(cset) >= self._ways:
-            victim = self._evict(cset)
+            victim = cset.pop()  # the LRU line
+            self._evictions += 1
         cset.insert(0, line)
         return victim
 
@@ -217,11 +196,8 @@ def lookup_fill_path(path: Sequence[Cache], paddr: int) -> int:
             return missed
         else:
             if len(cset) >= cache._ways:
-                if cache._lru:  # _evict's LRU case, without the call
-                    cset.pop()
-                    cache._evictions += 1
-                else:
-                    cache._evict(cset)
+                cset.pop()  # the LRU line
+                cache._evictions += 1
             cset.insert(0, line)
         cache._misses += 1
         missed += 1

@@ -36,17 +36,17 @@ class MemoryHierarchy:
     the L1D.
     """
 
-    def __init__(self, params: MachineParams, seed: int = 0, llc: Optional[Cache] = None):
+    def __init__(self, params: MachineParams, llc: Optional[Cache] = None):
         self.params = params
-        self.l1d = Cache(params.l1d, seed=seed)
-        self.l1i = Cache(params.l1i, seed=seed + 1)
-        self.l2 = Cache(params.l2, seed=seed + 2)
+        self.l1d = Cache(params.l1d)
+        self.l1i = Cache(params.l1i)
+        self.l2 = Cache(params.l2)
         # The LLC may be supplied by the caller so several hierarchies (one
         # per hart) share a single last-level cache while keeping private
         # L1/L2s.  Passing None (the default, and the single-hart case)
         # creates a private LLC exactly as before, so existing construction
         # stays byte-identical.
-        self.llc = Cache(params.llc, seed=seed + 3) if llc is None else llc
+        self.llc = Cache(params.llc) if llc is None else llc
         # Deferred hot-path counters, published into ``stats`` on read.
         self._refs = 0
         self._dram_refs = 0

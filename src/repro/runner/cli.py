@@ -60,13 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         "histograms via an engine hook (slower)",
     )
     parser.add_argument(
-        "--no-block",
-        action="store_true",
-        help="pin the scalar per-reference pipeline instead of the fused block "
-        "execution paths (rows are byte-identical either way; this is the "
-        "parity escape hatch, at scalar-path wall time)",
-    )
-    parser.add_argument(
         "--shard-cells",
         choices=("auto", "on", "off"),
         default="auto",
@@ -172,9 +165,9 @@ def bench_summary(manifest: RunManifest, store: ResultStore, generated_unix: Opt
         },
         "cell_wall_s": {c.task_id: round(c.wall_s, 3) for c in manifest.cells},
         # Simulated-reference throughput per executed cell: how many timed
-        # references the cell priced per wall second.  Comparing a --no-block
-        # summary against a block one turns this into the scalar-vs-block
-        # speedup per cell (the reference counts themselves are identical).
+        # references the cell priced per wall second.  The count is light
+        # telemetry's ``hierarchy.refs``, so cells run at another level are
+        # left out.
         "cell_refs_per_s": {
             c.task_id: round(c.telemetry.get("hierarchy.refs", 0) / c.wall_s, 1)
             for c in manifest.cells
@@ -182,13 +175,12 @@ def bench_summary(manifest: RunManifest, store: ResultStore, generated_unix: Opt
         },
         # The same ratio inverted: wall nanoseconds the host spent per
         # simulated reference — the unit the hot-path benchmark gates on,
-        # so block and scalar campaigns compare directly.
+        # so campaign and benchmark numbers compare directly.
         "cell_ns_per_ref": {
             c.task_id: round(1e9 * c.wall_s / c.telemetry.get("hierarchy.refs", 0), 1)
             for c in manifest.cells
             if c.wall_s > 0 and c.telemetry.get("hierarchy.refs")
         },
-        "block_mode": manifest.block,
         "shard_cells": manifest.shard_cells,
         # Cells that ran as sub-shard assemblies this campaign, with their
         # sub-shard counts.  Their wall_s above is the *sequential
@@ -228,7 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         label=args.label,
         progress=_progress,
         telemetry=args.telemetry,
-        block=not args.no_block,
         shard_cells={"auto": None, "on": True, "off": False}[args.shard_cells],
     )
     if pool.effective_jobs < pool.jobs:

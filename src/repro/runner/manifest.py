@@ -99,7 +99,6 @@ class RunManifest:
     jobs: int = 1  # requested worker count
     effective_jobs: int = 1  # after clamping to available CPUs
     telemetry: str = "light"  # per-cell engine telemetry level
-    block: bool = True  # machines took the fused block path (--no-block clears)
     shard_cells: bool = False  # heavy cells expanded into sub-shard tasks
     filters: List[str] = field(default_factory=list)
     resume: bool = False
@@ -146,7 +145,6 @@ class RunManifest:
             "jobs": self.jobs,
             "effective_jobs": self.effective_jobs,
             "telemetry": self.telemetry,
-            "block": self.block,
             "shard_cells": self.shard_cells,
             "filters": list(self.filters),
             "resume": self.resume,
@@ -171,7 +169,6 @@ class RunManifest:
             jobs=int(data.get("jobs", 1)),
             effective_jobs=int(data.get("effective_jobs", data.get("jobs", 1))),
             telemetry=str(data.get("telemetry", "light")),
-            block=bool(data.get("block", True)),
             shard_cells=bool(data.get("shard_cells", False)),
             filters=[str(f) for f in data.get("filters", [])],  # type: ignore[union-attr]
             resume=bool(data.get("resume", False)),

@@ -90,9 +90,7 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _run_cell(
-    spec: TaskSpec, store_root: str, version: str, telemetry: str = "light", block: bool = True
-) -> Dict[str, object]:
+def _run_cell(spec: TaskSpec, store_root: str, version: str, telemetry: str = "light") -> Dict[str, object]:
     """Execute one cell and persist its payload; returns the manifest facts.
 
     Runs inside the worker process (and inline when ``jobs=1``): the store
@@ -101,7 +99,7 @@ def _run_cell(
     """
     start = time.perf_counter()
     store = ResultStore(store_root, version=version)
-    rows, stats = execute(spec, telemetry=telemetry, block=block)
+    rows, stats = execute(spec, telemetry=telemetry)
     payload = store.build_payload(spec, rows, stats)
     key = store.key_for(spec)
     store.put(key, payload)
@@ -117,10 +115,10 @@ def _run_cell(
     }
 
 
-def _worker_entry(spec: TaskSpec, store_root: str, version: str, telemetry: str, block: bool, conn) -> None:
+def _worker_entry(spec: TaskSpec, store_root: str, version: str, telemetry: str, conn) -> None:
     """Worker process body: run the cell, report over the pipe, exit."""
     try:
-        message = _run_cell(spec, store_root, version, telemetry, block)
+        message = _run_cell(spec, store_root, version, telemetry)
     except BaseException:
         message = {
             "status": STATUS_ERROR,
@@ -146,7 +144,6 @@ class CampaignPool:
         label: str = "campaign",
         progress: Optional[ProgressFn] = None,
         telemetry: str = "light",
-        block: bool = True,
         shard_cells: Optional[bool] = None,
     ):
         if telemetry not in TELEMETRY_LEVELS:
@@ -162,7 +159,6 @@ class CampaignPool:
         self.label = label
         self.progress = progress
         self.telemetry = telemetry
-        self.block = bool(block)
         # None = auto: shard heavy cells exactly when there is parallelism
         # to feed.  ``--jobs 1`` therefore stays the unsharded reference the
         # determinism gate measures sharded runs against.
@@ -241,7 +237,6 @@ class CampaignPool:
             jobs=self.jobs,
             effective_jobs=self.effective_jobs,
             telemetry=self.telemetry,
-            block=self.block,
             shard_cells=self.shard_cells,
             resume=resume,
             timeout_s=self.timeout_s,
@@ -395,7 +390,7 @@ class CampaignPool:
             spec, attempt = pending.popleft()
             start = time.perf_counter()
             try:
-                message = _run_cell(spec, str(self.store.root), self.store.version, self.telemetry, self.block)
+                message = _run_cell(spec, str(self.store.root), self.store.version, self.telemetry)
                 message["worker"] = "inline"
             except BaseException:
                 message = {
@@ -442,7 +437,7 @@ class CampaignPool:
         receiver, sender = context.Pipe(duplex=False)
         process = context.Process(
             target=_worker_entry,
-            args=(spec, str(self.store.root), self.store.version, self.telemetry, self.block, sender),
+            args=(spec, str(self.store.root), self.store.version, self.telemetry, sender),
             daemon=True,
             name=f"repro-runner-{spec.task_id}",
         )

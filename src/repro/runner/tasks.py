@@ -20,9 +20,7 @@ from ..common.stats import StatGroup
 from ..engine import (
     EngineHook,
     HistogramHook,
-    block_mode_enabled,
     register_default_hook_factory,
-    set_block_mode,
     unregister_default_hook_factory,
 )
 
@@ -37,8 +35,10 @@ from ..engine import (
 #:   stays enabled; the only hook callback used is the checker-attach
 #:   event.
 #: * ``full``  — a :class:`~repro.engine.HistogramHook` on every engine:
-#:   per-reference latency histograms, at a measured ~1.7x slowdown on
-#:   TLB-hit-dominated cells.  Opt in when you want the distributions.
+#:   per-reference latency histograms.  The hook observes every reference,
+#:   so every reference takes the scalar step (no fused run charges), at a
+#:   measured ~1.7x slowdown on TLB-hit-dominated cells.  Opt in when you
+#:   want the distributions.
 TELEMETRY_LEVELS = ("off", "light", "full")
 
 
@@ -197,59 +197,45 @@ class _StatsHarvester(EngineHook):
         return stats
 
 
-def execute(
-    spec: TaskSpec, telemetry: str = "light", block: bool = True
-) -> Tuple[List[Dict[str, object]], Optional[StatGroup]]:
+def execute(spec: TaskSpec, telemetry: str = "light") -> Tuple[List[Dict[str, object]], Optional[StatGroup]]:
     """Run one cell, optionally with engine telemetry attached.
 
     *telemetry* is one of :data:`TELEMETRY_LEVELS`.  Rows are identical at
     every level (hooks observe after state updates and never alter timing);
     only the wall-clock cost and the returned stat group differ.  Returns
     the raw rows and the telemetry stat group (None when ``off``).
-
-    *block* selects the machines' execution mode for the duration of the
-    cell: True (default) lets them take the fused bulk path, False pins the
-    scalar pipeline (the runner's ``--no-block`` escape hatch).  Rows are
-    byte-identical either way — the differential suite in
-    ``tests/test_block_exec.py`` holds that line.  The previous process
-    mode is restored on exit so inline execution never leaks state.
     """
     if telemetry not in TELEMETRY_LEVELS:
         raise ValueError(f"telemetry must be one of {TELEMETRY_LEVELS}, got {telemetry!r}")
     func = resolve(spec)
-    prev_block = block_mode_enabled()
-    set_block_mode(bool(block))
-    try:
-        if telemetry == "off":
+    if telemetry == "off":
+        rows = func(**dict(spec.kwargs))
+        stats: Optional[StatGroup] = None
+    elif telemetry == "full":
+        hook = HistogramHook(spec.task_id)
+
+        def factory(engine) -> EngineHook:
+            return hook
+
+        register_default_hook_factory(factory)
+        try:
             rows = func(**dict(spec.kwargs))
-            stats: Optional[StatGroup] = None
-        elif telemetry == "full":
-            hook = HistogramHook(spec.task_id)
+        finally:
+            unregister_default_hook_factory(factory)
+        stats = hook.stats
+    else:  # light: harvest what the simulator already counts
+        harvester = _StatsHarvester()
 
-            def factory(engine) -> EngineHook:
-                return hook
+        def factory(engine) -> EngineHook:
+            harvester.saw_engine(engine)
+            return harvester
 
-            register_default_hook_factory(factory)
-            try:
-                rows = func(**dict(spec.kwargs))
-            finally:
-                unregister_default_hook_factory(factory)
-            stats = hook.stats
-        else:  # light: harvest what the simulator already counts
-            harvester = _StatsHarvester()
-
-            def factory(engine) -> EngineHook:
-                harvester.saw_engine(engine)
-                return harvester
-
-            register_default_hook_factory(factory)
-            try:
-                rows = func(**dict(spec.kwargs))
-            finally:
-                unregister_default_hook_factory(factory)
-            stats = harvester.to_stats(spec.task_id)
-    finally:
-        set_block_mode(prev_block)
+        register_default_hook_factory(factory)
+        try:
+            rows = func(**dict(spec.kwargs))
+        finally:
+            unregister_default_hook_factory(factory)
+        stats = harvester.to_stats(spec.task_id)
     if not isinstance(rows, list):
         raise TypeError(f"{spec.task_id}: {spec.func} returned {type(rows).__name__}, expected list of rows")
     return rows, stats

@@ -53,7 +53,7 @@ from ..common.params import MachineParams
 from ..common.stats import StatGroup
 from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, PrivilegeMode
 from ..engine import Account, RefKind, ReferenceEngine
-from ..engine.block import AccessBlock, block_mode_enabled
+from ..engine.block import AccessBlock
 from ..isolation.checker import IsolationChecker
 from ..isolation.factory import NullChecker
 from ..mem.hierarchy import MemoryHierarchy
@@ -114,11 +114,6 @@ class Hart:
     checker:
         Isolation checker; defaults to :class:`NullChecker` until
         ``attach_checker`` is called.
-    block_mode:
-        Enable the fused bulk path behind :meth:`access_run` /
-        :meth:`access_block`.  ``None`` (the default) reads the
-        process-wide setting (:func:`repro.engine.block.block_mode_enabled`);
-        pass ``False`` to pin this machine to the scalar pipeline.
     hart_id:
         This hart's index in its machine (0 for single-hart machines).
     llc:
@@ -134,15 +129,13 @@ class Hart:
         params: MachineParams,
         memory: PhysicalMemory,
         checker: Optional[IsolationChecker] = None,
-        seed: int = 0,
-        block_mode: Optional[bool] = None,
         hart_id: int = 0,
         llc=None,
     ):
         self.params = params
         self.memory = memory
         self.hart_id = hart_id
-        self.hierarchy = MemoryHierarchy(params, seed=seed, llc=llc)
+        self.hierarchy = MemoryHierarchy(params, llc=llc)
         self.tlb = TLB(params.l1_tlb, params.l2_tlb)
         self.pwc = PageWalkCache(params.ptecache_entries)
         self.engine = ReferenceEngine(
@@ -161,9 +154,6 @@ class Hart:
         self.stats = StatGroup(name, sync=self._publish_stats)
         self._tlb_lookup = self.tlb.lookup
         self._hier_access = self.hierarchy.access
-        # Block execution: resolved once at construction (the runner sets the
-        # process-wide mode before building the System).
-        self.block_mode = block_mode_enabled() if block_mode is None else bool(block_mode)
         # One pooled Account, reset per general-path access (see
         # engine.Account.reset): nothing retains it past the access.
         self._acct = Account()
@@ -192,10 +182,6 @@ class Hart:
     def checker(self) -> IsolationChecker:
         """The isolation checker (owned by the shared reference engine)."""
         return self.engine.checker
-
-    @checker.setter
-    def checker(self, checker: IsolationChecker) -> None:
-        self.engine.set_checker(checker)
 
     def attach_checker(self, checker: IsolationChecker) -> None:
         """Install the isolation checker (flushes stale inlined permissions)."""
@@ -415,7 +401,7 @@ class Hart:
         :meth:`~repro.mem.hierarchy.MemoryHierarchy.mru_run`.
 
         This is the only timed run loop.  Of ``self`` it reads only
-        ``engine``, ``block_mode``, ``params``, ``tlb``, ``hierarchy``, the
+        ``engine``, ``params``, ``tlb``, ``hierarchy``, the
         scalar step ``_access_core`` and the ``_s_accesses`` / ``_s_cycles``
         counters, so :class:`~repro.virt.nested.VirtualMachine` runs it on
         itself, with its combined TLB as ``tlb`` and the same scalar step,
@@ -427,8 +413,7 @@ class Hart:
         # backwards through a line; without TLB inlining every hit re-checks
         # its page; a per-reference or per-access hook must see every one.
         fuse = (
-            self.block_mode
-            and stride >= 0
+            stride >= 0
             and self.params.tlb_inlining
             and not engine._ref_hooks
             and not engine._access_hooks
@@ -565,7 +550,11 @@ class Machine(Hart):
     existing single-hart consumer (``machine.access``, ``machine.tlb``,
     ``machine.engine`` …) working unchanged with zero delegation overhead,
     and makes single-hart construction byte-identical to the pre-SMP
-    machine (hart 0's hierarchy creates the LLC with the same seed).
+    machine (hart 0's hierarchy creates the LLC).
+
+    A machine's behaviour depends only on its constructor arguments and
+    the hooks installed on its engines: ``params`` is read, never
+    reassigned, and every hart is built from the same object.
 
     Secondary harts share the LLC, DRAM and — through
     :meth:`attach_checker` — the isolation checker's architectural state
@@ -580,26 +569,15 @@ class Machine(Hart):
         params: MachineParams,
         memory: PhysicalMemory,
         checker: Optional[IsolationChecker] = None,
-        seed: int = 0,
-        block_mode: Optional[bool] = None,
         harts: int = 1,
     ):
         if harts < 1:
             raise ValueError(f"a machine needs at least one hart, got {harts}")
-        super().__init__(params, memory, checker, seed=seed, block_mode=block_mode)
+        super().__init__(params, memory, checker)
         self.llc = self.hierarchy.llc
         self.harts: List[Hart] = [self]
         for i in range(1, harts):
-            # Seed stride 8 keeps each hart's private-cache seeds (seed..
-            # seed+2 within its hierarchy) disjoint from every other hart's.
-            hart = Hart(
-                params,
-                memory,
-                seed=seed + 8 * i,
-                block_mode=block_mode,
-                hart_id=i,
-                llc=self.llc,
-            )
+            hart = Hart(params, memory, hart_id=i, llc=self.llc)
             if checker is not None:
                 hart.attach_checker(
                     checker.hart_view(hart.hierarchy, i)

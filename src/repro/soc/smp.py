@@ -22,13 +22,14 @@ Determinism contract
 * The quantum is counted in *references* (a monitor call consumes one
   budget unit), so schedules are a function of the workload alone.
 
-Block-mode interaction: a fused run is never allowed to cross a
-hart-switch quantum boundary — the scheduler splits the run and each
-chunk re-enters :meth:`~repro.soc.machine.Hart.access_run`, whose
-invariant-regime bulk path falls back to the scalar pipeline at every
-chunk edge.  That is what keeps block and ``--no-block`` execution
-byte-identical even under multi-hart interleaving
-(``tests/test_block_exec.py`` proves it differentially).
+Fused runs: a fused run is never allowed to cross a hart-switch quantum
+boundary — the scheduler splits the run and each chunk re-enters
+:meth:`~repro.soc.machine.Hart.access_run`, whose invariant-regime bulk
+path falls back to the scalar step at every chunk edge.  That is what
+keeps fused execution byte-identical to the scalar step under multi-hart
+interleaving (``tests/test_block_exec.py`` proves it differentially,
+against the same programs observed by an access hook, which keeps every
+reference on the scalar step).
 """
 
 from __future__ import annotations

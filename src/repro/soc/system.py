@@ -17,6 +17,7 @@ from ..common.errors import ConfigurationError
 from ..common.params import MachineParams, machine_params
 from ..common.types import MIB, PAGE_SIZE, AccessType, MemRegion, Permission
 from ..isolation.factory import CHECKER_KINDS, FlatSetup, make_flat_checker
+from ..isolation.pmptable import MODE_2LEVEL
 from ..mem.allocator import FrameAllocator
 from ..mem.physical import PhysicalMemory
 from ..paging.pagetable import PageTable
@@ -131,7 +132,9 @@ class System:
     Parameters
     ----------
     machine:
-        Preset name (``"rocket"`` / ``"boom"``) or a ``MachineParams``.
+        Preset name (``"rocket"`` / ``"boom"``) or a ``MachineParams``: the
+        one source of the machine's timing and geometry, PMPTW-Cache and
+        page-walk-cache settings included.
     checker_kind:
         One of ``("none", "pmp", "pmpt", "hpmp")``.
     mem_mib:
@@ -150,6 +153,8 @@ class System:
         L1/L2/TLB state over the shared LLC, and per-hart checker views of
         the one register file (see :meth:`Machine.attach_checker
         <repro.soc.machine.Machine.attach_checker>`).
+    seed:
+        Seeds the scattered data-frame order.
     """
 
     def __init__(
@@ -158,12 +163,10 @@ class System:
         checker_kind: str = "pmp",
         mem_mib: int = 256,
         scatter_data_frames: bool = False,
-        pmptw_cache_enabled: Optional[bool] = None,
-        table_mode: Optional[int] = None,
+        table_mode: int = MODE_2LEVEL,
         pt_placement: Optional[str] = None,
         pmp_entries: int = 16,
         seed: int = 0,
-        params_override: Optional[MachineParams] = None,
         harts: int = 1,
     ):
         if checker_kind not in CHECKER_KINDS:
@@ -174,12 +177,7 @@ class System:
             raise ConfigurationError(f"unknown pt_placement {pt_placement!r}")
         self.pt_placement = pt_placement
         self.pmp_entries = pmp_entries
-        if params_override is not None:
-            self.params = params_override
-        elif isinstance(machine, MachineParams):
-            self.params = machine
-        else:
-            self.params = machine_params(machine)
+        self.params = machine if isinstance(machine, MachineParams) else machine_params(machine)
         self.checker_kind = checker_kind
         self.memory = PhysicalMemory(mem_mib * MIB, base=DRAM_BASE)
 
@@ -203,17 +201,7 @@ class System:
         self.pt_frames = FrameAllocator(self.pt_region)
         self.data_frames = FrameAllocator(self.data_region, scatter=scatter_data_frames, seed=seed)
 
-        kwargs = {}
-        if pmptw_cache_enabled is not None:
-            kwargs["pmptw_cache_enabled"] = pmptw_cache_enabled
-            kwargs["pmptw_cache_entries"] = self.params.pmptw_cache_entries
-        elif self.params.pmptw_cache_enabled:
-            kwargs["pmptw_cache_enabled"] = True
-            kwargs["pmptw_cache_entries"] = self.params.pmptw_cache_entries
-        if table_mode is not None:
-            kwargs["table_mode"] = table_mode
-
-        self.machine = Machine(self.params, self.memory, seed=seed, harts=harts)
+        self.machine = Machine(self.params, self.memory, harts=harts)
         self.setup: FlatSetup = make_flat_checker(
             checker_kind,
             self.memory,
@@ -221,8 +209,10 @@ class System:
             dram=self.memory.region,
             pt_region=self.pt_region,
             table_frames=self.table_frames,
+            pmptw_cache_enabled=self.params.pmptw_cache_enabled,
+            pmptw_cache_entries=self.params.pmptw_cache_entries,
+            table_mode=table_mode,
             num_entries=pmp_entries,
-            **kwargs,
         )
         self.machine.attach_checker(self.setup.checker)
         self._next_asid = 0

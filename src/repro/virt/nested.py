@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..common.errors import AlignmentError, GuestPageFault, PageFault
-from ..common.params import MachineParams
 from ..common.stats import StatGroup
 from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, Permission, PrivilegeMode
 from ..engine import Account, RefKind
@@ -145,8 +144,8 @@ class VirtualMachine:
         self.machine = system.machine
         self.engine = system.machine.engine  # the shared reference pipeline
         self.hierarchy = system.machine.hierarchy
-        # Latched at construction, as the host machine latches it.
-        self.block_mode = system.machine.block_mode
+        # The host's parameters (read by the step and the run loop).
+        self.params = params = system.params
         self.view = GuestMemoryView(system.memory)
         self.gpt_contiguous = gpt_contiguous
         # The nested page table is a host page table over GPAs (Sv39x4 is
@@ -164,7 +163,6 @@ class VirtualMachine:
         self.guest_pt = PageTable(self.view, self._alloc_gpt_page, mode="sv39")  # type: ignore[arg-type]
         # The combined VS-stage TLB (gva->hpa; the run loop's ``tlb``) and
         # the G-stage TLB (gpa->hpa).
-        params = system.params
         self.tlb = TLB(params.l1_tlb, params.l2_tlb)
         self.g_tlb = TLB(params.l1_tlb, params.l2_tlb)
         # What the hart's scalar step reads on its owner (see
@@ -180,11 +178,6 @@ class VirtualMachine:
         self._tlb_lookup = self.tlb.lookup
         self._hier_access = self.hierarchy.access
         self._acct = Account()
-
-    @property
-    def params(self) -> MachineParams:
-        """The host machine's current parameters (read by the step and the run loop)."""
-        return self.machine.params
 
     def _publish_stats(self) -> None:
         """Sync point: fold pending guest-access deltas into the StatGroup.
@@ -245,13 +238,13 @@ class VirtualMachine:
     def hfence_vvma(self) -> int:
         """Flush VS-stage (combined) translations; G-stage survives."""
         self.tlb.flush()
-        return self.system.params.tlb_flush_cycles
+        return self.params.tlb_flush_cycles
 
     def hfence_gvma(self) -> int:
         """Flush G-stage translations (and therefore combined ones too)."""
         self.tlb.flush()
         self.g_tlb.flush()
-        return self.system.params.tlb_flush_cycles
+        return self.params.tlb_flush_cycles
 
     # -- the timed two-stage access path -------------------------------------------
 
@@ -327,7 +320,7 @@ class VirtualMachine:
         State-identical to *count* :meth:`access` calls: this is
         :meth:`Hart.access_run <repro.soc.machine.Hart.access_run>`, run with
         the combined TLB as ``self.tlb`` and the shared scalar step, under
-        the host machine's block mode and hook set.
+        the host machine's hook set.
         """
         return self._run(self.guest_pt, gva, stride, count, access, S)[0]
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..common.errors import WorkloadError
+from ..common.params import MachineParams
 from ..common.types import AccessType, PAGE_SIZE
 from ..soc.system import System
 from ..tee.enclave import ENCLAVE_HEAP_VA, ENCLAVE_TEXT_VA, EnclaveRuntime
@@ -72,7 +73,9 @@ class FunctionResult:
 class ServerlessNode:
     """One simulated worker node: machine + monitor + host kernel."""
 
-    def __init__(self, machine: str = "boom", checker_kind: str = "hpmp", mem_mib: int = 256, seed: int = 0):
+    def __init__(
+        self, machine: "str | MachineParams" = "boom", checker_kind: str = "hpmp", mem_mib: int = 256, seed: int = 0
+    ):
         self.system = System(machine=machine, checker_kind=checker_kind, mem_mib=mem_mib, seed=seed)
         self.kernel = KernelModel(self.system, heap_pages=1024, seed=seed)
         if checker_kind == "none":
@@ -179,16 +182,12 @@ class ServerlessNode:
 def run_function(
     function: str,
     checker_kind: str,
-    machine: str = "boom",
+    machine: "str | MachineParams" = "boom",
     secure: bool = True,
     seed: int = 0,
-    params_override=None,
 ) -> FunctionResult:
     """One cold invocation on a fresh node (the serverless cold-start case)."""
     node = ServerlessNode(machine=machine, checker_kind=checker_kind, seed=seed)
-    if params_override is not None:
-        node.system.machine.params = params_override
-        node.system.machine.pwc.capacity = params_override.ptecache_entries
     return node.invoke(function, secure=secure)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..common.errors import WorkloadError
+from ..common.params import machine_params
 from ..common.types import GIB, PAGE_SIZE, AccessType, PrivilegeMode
 from ..soc.system import AddressSpace, System
 
@@ -149,11 +150,10 @@ def run_fragmentation(
         raise WorkloadError(f"unknown VA pattern {va_pattern!r}")
     stride = FRAGMENTED_VA_STRIDE if va_pattern == "Fragmented-VA" else CONTIGUOUS_VA_STRIDE
     system = System(
-        machine=machine,
+        machine=machine_params(machine).with_(pmptw_cache_enabled=pmptw_cache_enabled),
         checker_kind=checker_kind,
         mem_mib=256,
         scatter_data_frames=pa_fragmented,
-        pmptw_cache_enabled=pmptw_cache_enabled,
         seed=seed,
     )
     space = system.new_address_space()

@@ -1,37 +1,65 @@
 """Differential proof that block execution is byte-identical to scalar.
 
-Every test here runs the same work twice — once with block mode on (the
-fused run/bulk hit paths) and once pinned to the scalar per-reference
-pipeline — and asserts the observable universe matches: cycle totals,
-machine/TLB/hierarchy stat snapshots, raw cache residency (the per-set
-line lists), fault identity, and workload-level results.  This is the
-"proof by differential test" the block layer's equivalence argument rests
-on, and it exercises the ``--no-block`` escape hatch end to end.
+Every test here runs the same work twice — once free to take the fused
+run/bulk hit paths, and once with an access-only engine hook on every
+engine, which keeps each reference on the scalar step (its inlined-hit
+fast path included) — and asserts the observable universe matches: cycle
+totals, machine/TLB/hierarchy stat snapshots, raw cache residency (the
+per-set line lists), fault identity, and workload-level results.  This is
+the "proof by differential test" the block layer's equivalence argument
+rests on.
 """
+
+import contextlib
 
 import pytest
 
 from repro.common.errors import AccessFault, PageFault
 from repro.common.stats import Histogram
 from repro.common.types import PAGE_SIZE, AccessType, Permission, PrivilegeMode
-from repro.engine import AccessBlock, EngineHook, block_mode_enabled, set_block_mode
+from repro.engine import (
+    AccessBlock,
+    EngineHook,
+    register_default_hook_factory,
+    unregister_default_hook_factory,
+)
 from repro.soc.system import System
 
 VA = 0x40_0000_0000
+#: True: fused runs allowed; False: every reference takes the scalar step.
 MODES = (True, False)
 
 
-@pytest.fixture(autouse=True)
-def _restore_block_mode():
-    prev = block_mode_enabled()
-    yield
-    set_block_mode(prev)
+class _AccessCounter(EngineHook):
+    """Overrides on_access only: its engine never fuses a run, but keeps
+    the scalar step's inlined-hit fast path."""
+
+    def __init__(self):
+        self.accesses = 0
+
+    def on_access(self, va, access, cycles, tlb_hit, refs):
+        self.accesses += 1
+
+
+@contextlib.contextmanager
+def scalar_engines():
+    """Install one :class:`_AccessCounter` on every engine built inside."""
+    hook = _AccessCounter()
+
+    def factory(engine):
+        return hook
+
+    register_default_hook_factory(factory)
+    try:
+        yield hook
+    finally:
+        unregister_default_hook_factory(factory)
 
 
 def build_system(block, kind="hpmp", machine="rocket", **kw):
-    """A fresh System whose Machine latched *block* at construction."""
-    set_block_mode(block)
-    return System(machine=machine, checker_kind=kind, mem_mib=kw.pop("mem_mib", 128), **kw)
+    """A fresh System; unless *block*, its engines are access-hooked."""
+    with contextlib.nullcontext() if block else scalar_engines():
+        return System(machine=machine, checker_kind=kind, mem_mib=kw.pop("mem_mib", 128), **kw)
 
 
 def state(system):
@@ -196,16 +224,6 @@ class TestAccessRunParity:
             results[mode] = state(system)
         assert results[True] == results[False]
 
-    def test_machine_kwarg_overrides_global(self):
-        """Machine(block_mode=False) pins scalar even when the global is on."""
-        set_block_mode(True)
-        system = System(machine="rocket", checker_kind="pmp", mem_mib=128)
-        assert system.machine.block_mode
-        from repro.soc.machine import Machine
-
-        pinned = Machine(system.machine.params, system.memory, system.machine.checker, block_mode=False)
-        assert not pinned.block_mode
-
     def test_negative_stride_and_empty_run(self):
         system = build_system(True)
         space = system.new_address_space()
@@ -364,11 +382,11 @@ class TestVirtParity:
 
 
 def _both_modes(fn):
-    """Run *fn* under each mode; return {mode: result}."""
-    out = {}
-    for mode in MODES:
-        set_block_mode(mode)
-        out[mode] = fn()
+    """Run *fn* plain, then with every engine access-hooked; return {mode: result}."""
+    out = {True: fn()}
+    with scalar_engines() as hook:
+        out[False] = fn()
+    assert hook.accesses  # the scalar side really ran observed
     return out
 
 
@@ -434,22 +452,23 @@ class TestWorkloadParity:
 
 
 class TestRunnerIntegration:
-    def test_execute_block_flag_is_scoped_and_digest_stable(self):
+    def test_execute_matches_access_hooked_execute(self):
+        """A plain cell and the same cell under an access hook: equal rows
+        and equal light telemetry."""
         from repro.experiments.report import rows_digest
         from repro.runner.tasks import campaign_tasks, execute
 
         spec = min(campaign_tasks(["fig02"]), key=lambda s: s.task_id)
-        set_block_mode(True)
-        rows_block, stats_block = execute(spec, telemetry="light", block=True)
-        assert block_mode_enabled()  # restored
-        rows_scalar, stats_scalar = execute(spec, telemetry="light", block=False)
-        assert block_mode_enabled()  # restored even after a scalar cell
+        rows_block, stats_block = execute(spec, telemetry="light")
+        with scalar_engines() as hook:
+            rows_scalar, stats_scalar = execute(spec, telemetry="light")
+        assert hook.accesses
         assert rows_digest(rows_block) == rows_digest(rows_scalar)
         assert stats_block.snapshot() == stats_scalar.snapshot()
 
 
 class TestMultiHartParity:
-    """Block vs --no-block under 2-hart interleaving.
+    """Block vs access-hooked scalar execution under 2-hart interleaving.
 
     The interleaver splits fused runs at every hart-switch quantum
     boundary, and each chunk's bulk path falls back to scalar at its

@@ -152,8 +152,8 @@ class TestCloudNode:
         direct = SLOAccount.from_snapshots([a["slo"]])
         direct_b = SLOAccount.from_snapshots([b["slo"]])
         for tclass in merged.classes():
-            stats = merged.hook_for(tclass).stats
-            expect = direct.hook_for(tclass).stats["completed"] + direct_b.hook_for(tclass).stats["completed"]
+            stats = merged.group_for(tclass)
+            expect = direct.group_for(tclass)["completed"] + direct_b.group_for(tclass)["completed"]
             assert stats["completed"] == expect
         rows = merged.rows(freq_mhz=1000)
         assert [r["tenant_class"] for r in rows] == merged.classes()

@@ -73,10 +73,6 @@ class TestCache:
         with pytest.raises(ConfigurationError):
             Cache(CacheParams("bad", 1000, ways=3, line_bytes=64))
 
-    def test_bad_replacement_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Cache(CacheParams("t", 1024, ways=2), replacement="plru")
-
     @settings(max_examples=25)
     @given(st.lists(st.integers(0, 2**20), min_size=1, max_size=200))
     def test_occupancy_bounded_by_capacity(self, addrs):

@@ -9,6 +9,7 @@ RISC-V Sv39, TLB miss, no PWC/PTE-cache state:
 
 import pytest
 
+from repro.common.params import rocket
 from repro.common.types import PAGE_SIZE, AccessType
 from repro.soc.system import System
 
@@ -78,8 +79,7 @@ class TestTLBHitPath:
         assert len(set(latencies.values())) == 1
 
     def test_without_inlining_hit_still_walks_table(self):
-        system = System(machine="rocket", checker_kind="pmpt", mem_mib=128)
-        system.machine.params = system.params.with_(tlb_inlining=False)
+        system = System(machine=rocket().with_(tlb_inlining=False), checker_kind="pmpt", mem_mib=128)
         space = system.new_address_space()
         space.map(VA, PAGE_SIZE)
         system.machine.cold_boot()

@@ -205,14 +205,16 @@ class TestManifest:
         assert loaded.cell("a/y").attempts == 2
 
     def test_load_ignores_retired_vector_field(self, tmp_path):
-        """Manifests written while the runner had a vector mode still load."""
+        """Manifests written while the runner had a vector mode or a
+        block-mode switch still load, without the retired fields."""
         data = RunManifest(label="old", version="v", cells=[]).to_dict()
         data["vector"] = True
+        data["block"] = False
         path = tmp_path / "old.json"
         path.write_text(json.dumps(data))
-        loaded = RunManifest.load(str(path))
-        assert loaded.label == "old" and loaded.block
-        assert "vector" not in loaded.to_dict()
+        loaded = RunManifest.load(str(path)).to_dict()
+        assert loaded["label"] == "old"
+        assert "vector" not in loaded and "block" not in loaded
 
     def test_load_rejects_non_manifest(self, tmp_path):
         path = tmp_path / "x.json"

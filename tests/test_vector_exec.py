@@ -4,9 +4,10 @@
 :class:`AccessBlock` container.  This module checks *programs*: several
 runs of mixed shape charged as one block — on the primary or a secondary
 hart, under hpmp and pmpt, inside a virtual machine, and as emitted by the
-workload generators — against the scalar per-reference pipeline, cold and
-warm.  The assertions cover cycle totals, machine/TLB/hierarchy stat
-snapshots, raw cache residency, fault identity and workload results.  It
+workload generators — against the same work with an access hook on every
+engine, which keeps each reference on the scalar step, cold and warm.  The
+assertions cover cycle totals, machine/TLB/hierarchy stat snapshots, raw
+cache residency, fault identity and workload results.  It
 also pins what a program shows engine hooks, that a TLB flush or a
 permission drop between or inside programs is never served from stale
 state, and that the timed path runs without numpy.  (The module name dates
@@ -23,7 +24,7 @@ import pytest
 import repro
 from repro.common.errors import AccessFault, PageFault
 from repro.common.types import PAGE_SIZE, AccessType, Permission
-from repro.engine import AccessBlock, EngineHook, block_mode_enabled, set_block_mode
+from repro.engine import AccessBlock, EngineHook
 
 from .test_block_exec import (
     MODES,
@@ -47,13 +48,6 @@ MIXED_SPANS = [
     (VA + 8 * PAGE_SIZE, 12288, 4, WRITE),
     (VA + 64, 64, 120, READ),
 ]
-
-
-@pytest.fixture(autouse=True)
-def _restore_block_mode():
-    prev = block_mode_enabled()
-    yield
-    set_block_mode(prev)
 
 
 class TestProgramParity:
@@ -180,8 +174,8 @@ class TestSnapshotInvalidation:
         and the other 63 are one fused chunk.  A fill hook, which leaves
         fusion on, flushes the TLB from inside the fourth fill, so the rest
         of the program must walk again instead of charging hits to the
-        flushed entries.  The same hook runs in scalar mode, and both modes
-        must end in the same state.
+        flushed entries.  The same hook runs on the access-hooked scalar
+        side, and both sides must end in the same state.
         """
         spans = [(VA + i * PAGE_SIZE, 8, 64, READ) for i in range(8)] * 3
         results = {}
@@ -222,8 +216,8 @@ class TestSnapshotInvalidation:
 
 class TestModeLatches:
     def test_no_numpy_fallback(self):
-        """With numpy unimportable, a fresh interpreter imports repro, latches
-        block mode and runs a program through the fused path."""
+        """With numpy unimportable, a fresh interpreter imports repro and
+        runs a program through the fused path."""
         code = (
             "import sys\n"
             "sys.modules['numpy'] = None  # any 'import numpy' now fails\n"
@@ -232,7 +226,6 @@ class TestModeLatches:
             "from repro.engine import AccessBlock\n"
             "from repro.soc.system import System\n"
             "system = System(machine='rocket', checker_kind='hpmp', mem_mib=128)\n"
-            "assert system.machine.block_mode\n"
             "space = system.new_address_space()\n"
             f"space.map({VA}, 4 * PAGE_SIZE, Permission.rw())\n"
             f"block = AccessBlock().run({VA}, 8, 2000, AccessType.READ)\n"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import AccessFault, AlignmentError, GuestPageFault, PageFault
+from repro.common.params import rocket
 from repro.common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, Permission
 from repro.paging.pagetable import pte_encode
 from repro.soc.system import System
@@ -260,8 +261,7 @@ class TestSharedStep:
     def test_without_inlining_combined_hit_rechecks_data_page(self):
         # The guest twin of test_reference_counts'
         # test_without_inlining_hit_still_walks_table.
-        system, vm = build("pmpt")
-        system.machine.params = system.params.with_(tlb_inlining=False)
+        _, vm = build("pmpt", machine=rocket().with_(tlb_inlining=False))
         vm.guest_access(GVA)
         result = vm.guest_access(GVA)
         assert result.combined_tlb_hit
