@@ -1,14 +1,11 @@
 """repro.engine — the unified timed memory-reference pipeline.
 
 * :class:`ReferenceEngine` / :class:`Account` — check → charge → account
-  stages shared by the native, traced and virtualized access paths.
-* :class:`AccessBlock` — run-length-encoded access spans for the fused bulk
-  path (state-identical to scalar execution).
+  stages shared by the native and virtualized access paths.
 * :class:`EngineHook` and friends — pluggable observability over the
   reference stream (zero-cost no-op default).
 """
 
-from .block import AccessBlock
 from .core import (
     Account,
     ReferenceEngine,
@@ -18,7 +15,6 @@ from .core import (
 from .hooks import EngineHook, HistogramHook, RecordingHook, RefKind, ReferenceEvent
 
 __all__ = [
-    "AccessBlock",
     "Account",
     "EngineHook",
     "HistogramHook",

@@ -15,10 +15,10 @@ composable check → charge → account pipeline over translation *steps*:
   :class:`Account`, and publish events to any installed
   :class:`~repro.engine.hooks.EngineHook`.
 
-:class:`~repro.soc.machine.Machine` (Sv39/48/57 walker),
-:class:`~repro.virt.nested.VirtualMachine` (Sv39x4 nested walker) and the
-trace runner are thin compositions of these stages: they yield steps, the
-engine prices them, one implementation of the logic instead of three.
+:class:`~repro.soc.machine.Machine` (Sv39/48/57 walker) and
+:class:`~repro.virt.nested.VirtualMachine` (Sv39x4 nested walker) are thin
+compositions of these stages: they yield steps, the engine prices them, one
+implementation of the logic instead of two.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Hooks are the pluggable observers of that stream:
   histograms (see :class:`repro.common.stats.Histogram`), exported as JSON
   by :meth:`StatGroup.to_json <repro.common.stats.StatGroup.to_json>`.
 
-There are no block-level events.  The run loop
+There are no run-level events.  The run loop
 (:meth:`Hart.access_run <repro.soc.machine.Hart.access_run>`) fuses a
 chunk of references into one charge only while no hook overrides
 ``on_reference`` or ``on_access``, so a hook that overrides either sees

@@ -165,9 +165,9 @@ def bench_summary(manifest: RunManifest, store: ResultStore, generated_unix: Opt
         },
         "cell_wall_s": {c.task_id: round(c.wall_s, 3) for c in manifest.cells},
         # Simulated-reference throughput per executed cell: how many timed
-        # references the cell priced per wall second.  The count is light
-        # telemetry's ``hierarchy.refs``, so cells run at another level are
-        # left out.
+        # references the cell priced per wall second.  The count is the
+        # harvested ``hierarchy.refs``, which light and full telemetry both
+        # record, so only cells run with telemetry off are left out.
         "cell_refs_per_s": {
             c.task_id: round(c.telemetry.get("hierarchy.refs", 0) / c.wall_s, 1)
             for c in manifest.cells

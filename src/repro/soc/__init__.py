@@ -1,7 +1,7 @@
 """SoC model: the timed machine and the full-system builder."""
 
 from .cpu import CPU, CPUResult, Instruction, assemble
-from .machine import AccessResult, Hart, Machine, TraceResult
+from .machine import AccessResult, Hart, Machine
 from .smp import HartProgram, InterleaveResult, RoundRobinInterleaver, monitor_call
 from .system import DRAM_BASE, AddressSpace, System
 
@@ -18,7 +18,6 @@ __all__ = [
     "Machine",
     "RoundRobinInterleaver",
     "System",
-    "TraceResult",
     "assemble",
     "monitor_call",
 ]

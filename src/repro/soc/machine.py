@@ -30,12 +30,12 @@ virtualized (Sv39x4) path composes.  Observability hooks installed on the
 engine see every reference; with no hooks installed the path stays as cheap
 as a hand-rolled loop.
 
-:meth:`Hart.access_run` is the one timed run loop and ``Hart._access_core``
-the one scalar step.  :meth:`Hart.access_block` and :meth:`Hart.run_trace`
-(which run-length encodes a trace into a block) are adapters over the loop.
-:class:`~repro.virt.nested.VirtualMachine` runs both, with its combined TLB
-in place of the hart's TLB and its 3D walk in place of ``Hart._walk``.  A
-single reference with a known address goes straight to the scalar step.
+A hart has two timed entry points: ``Hart._access_core``, the one scalar
+step for one reference (:meth:`Hart.access` wraps it in an
+:class:`AccessResult`), and :meth:`Hart.access_run`, the one run loop for a
+strided run.  :class:`~repro.virt.nested.VirtualMachine` runs both, with
+its combined TLB in place of the hart's TLB and its 3D walk in place of
+``Hart._walk``.
 
 Out-of-order overlap is modelled by ``MachineParams.mlp_factor``: BOOM hides
 part of the walk latency behind other work for loads; stores' permission
@@ -46,14 +46,13 @@ deltas).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..common.errors import AccessFault, PageFault
 from ..common.params import MachineParams
 from ..common.stats import StatGroup
 from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, PrivilegeMode
 from ..engine import Account, RefKind, ReferenceEngine
-from ..engine.block import AccessBlock
 from ..isolation.checker import IsolationChecker
 from ..isolation.factory import NullChecker
 from ..mem.hierarchy import MemoryHierarchy
@@ -84,21 +83,6 @@ class AccessResult:
     @property
     def total_refs(self) -> int:
         return self.pt_refs + self.checker_refs + self.data_refs
-
-
-@dataclass(frozen=True)
-class TraceResult:
-    """Aggregate outcome of a trace run."""
-
-    accesses: int
-    cycles: int
-    pt_refs: int
-    checker_refs: int
-    tlb_hits: int
-
-    @property
-    def cycles_per_access(self) -> float:
-        return self.cycles / self.accesses if self.accesses else 0.0
 
 
 class Hart:
@@ -270,7 +254,6 @@ class Hart:
         access: AccessType,
         priv: PrivilegeMode,
         asid: int,
-        extra_cycles: int = 0,
     ) -> Tuple[int, int, bool, int, int]:
         """The one scalar step; returns (cycles, paddr, tlb_hit, table_refs, checker_refs).
 
@@ -279,9 +262,6 @@ class Hart:
         dropped) it re-checks the data page.  A miss runs the owner's
         ``_walk`` for the entry, checks the data page, inlines the result and
         fills the TLB.  Either way the data reference is charged last.
-        ``extra_cycles`` folds fixed non-memory compute work into both the
-        returned cycles *and* the owner's stats, so result-based and
-        stats-based reports agree.
 
         :class:`~repro.virt.nested.VirtualMachine` runs this step too.  An
         owner provides ``engine``, ``params``, ``tlb`` (with its bound
@@ -316,7 +296,7 @@ class Hart:
                 # Only the data reference is left and no hook watches single
                 # references: charge it without an Account.  Published state
                 # is what the general path below would publish.
-                cycles += self._hier_access(paddr, access is _FETCH) + extra_cycles
+                cycles += self._hier_access(paddr, access is _FETCH)
                 self._s_cycles += cycles
                 if engine._access_hooks:
                     engine.access_done(va, access, cycles, True, 1)
@@ -350,7 +330,7 @@ class Hart:
                 walk_cycles = round(walk_cycles * self.params.mlp_factor)
             cycles += walk_cycles
         engine.data_ref(acct, paddr, access is _FETCH)
-        cycles += acct.data_cycles + extra_cycles
+        cycles += acct.data_cycles
         self._s_cycles += cycles
         self._s_pt_refs += acct.table_refs
         self._s_checker_refs += acct.checker_refs
@@ -381,7 +361,6 @@ class Hart:
         access: AccessType = AccessType.READ,
         priv: PrivilegeMode = PrivilegeMode.USER,
         asid: int = 0,
-        extra_cycles: int = 0,
     ) -> Tuple[int, int, int, int]:
         """Charge *count* references at ``va, va+stride, ...`` in one call.
 
@@ -447,7 +426,7 @@ class Hart:
                     else:
                         ok = perm.x and checker_perm.x
                     if ok:
-                        cyc = tlb.charge_l1_hits(cur, asid, n) + n * extra_cycles
+                        cyc = tlb.charge_l1_hits(cur, asid, n)
                         if stride:
                             paddr = (entry.ppn << PAGE_SHIFT) | (cur & PAGE_MASK)
                             cyc += self.hierarchy.access_run(paddr, stride, n, is_fetch)
@@ -459,7 +438,7 @@ class Hart:
                         hits += n
                         i += n
                         continue
-            c, _pa, h, p, k = step(page_table, cur, access, priv, asid, extra_cycles)
+            c, _pa, h, p, k = step(page_table, cur, access, priv, asid)
             total += c
             pt_refs += p
             checker_refs += k
@@ -467,80 +446,6 @@ class Hart:
                 hits += 1
             i += 1
         return total, hits, pt_refs, checker_refs
-
-    def access_block(
-        self,
-        page_table: PageTable,
-        block: AccessBlock,
-        priv: PrivilegeMode = PrivilegeMode.USER,
-        asid: int = 0,
-        extra_cycles: int = 0,
-    ) -> Tuple[int, int, int, int]:
-        """Charge every run in *block*; returns summed access_run tuples."""
-        run = self.access_run
-        core = self._access_core
-        cycles = hits = pt_refs = checker_refs = 0
-        for va, stride, count, access in block.runs:
-            if count == 1:
-                # Most workload blocks are dominated by singleton runs;
-                # dispatch them to the scalar core without the run wrapper.
-                c, _pa, h, p, k = core(page_table, va, access, priv, asid, extra_cycles)
-                if h:
-                    hits += 1
-            else:
-                c, h, p, k = run(page_table, va, stride, count, access, priv, asid, extra_cycles)
-                hits += h
-            cycles += c
-            pt_refs += p
-            checker_refs += k
-        return cycles, hits, pt_refs, checker_refs
-
-    def run_trace(
-        self,
-        page_table: PageTable,
-        trace: Iterable[Tuple[int, AccessType]],
-        priv: PrivilegeMode = PrivilegeMode.USER,
-        asid: int = 0,
-        compute_cycles_per_access: int = 0,
-    ) -> TraceResult:
-        """Run a (va, access-type) trace; returns aggregate timing.
-
-        ``compute_cycles_per_access`` adds a fixed non-memory cost per trace
-        element, modelling the compute work between memory operations; it is
-        accounted both in the result and in ``machine.stats`` (one path).
-
-        The trace is run-length encoded into an :class:`AccessBlock` —
-        consecutive same-type references with a constant non-negative stride
-        become one run — and charged by :meth:`access_block`, which is
-        state-identical to issuing the references one by one.
-        """
-        block = AccessBlock()
-        run_va = run_stride = run_count = last_va = 0
-        run_access: Optional[AccessType] = None
-        for va, access in trace:
-            if run_access is access:
-                step = va - last_va
-                if run_count == 1 and step >= 0:
-                    run_stride = step
-                    run_count = 2
-                    last_va = va
-                    continue
-                if step == run_stride and run_stride >= 0:
-                    run_count += 1
-                    last_va = va
-                    continue
-            if run_access is not None:
-                block.run(run_va, run_stride, run_count, run_access)
-            run_va = last_va = va
-            run_access = access
-            run_stride = 0
-            run_count = 1
-        if run_access is not None:
-            block.run(run_va, run_stride, run_count, run_access)
-        cycles, tlb_hits, pt_refs, checker_refs = self.access_block(
-            page_table, block, priv, asid, compute_cycles_per_access
-        )
-        return TraceResult(block.count, cycles, pt_refs, checker_refs, tlb_hits)
 
 
 class Machine(Hart):

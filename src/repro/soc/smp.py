@@ -54,8 +54,8 @@ class HartProgram:
     Two op kinds, executed strictly in append order:
 
     * a *run* — ``count`` timed references starting at ``va`` stepping
-      ``stride`` bytes (the same encoding as
-      :class:`~repro.engine.AccessBlock` runs);
+      ``stride`` bytes, the arguments of
+      :meth:`~repro.soc.machine.Hart.access_run`;
     * a *call* — a monitor (or other shared-state) operation, invoked with
       the hart, its id and its virtual clock so the callee can model
       cross-hart costs (lock queueing, shootdown IPIs).

@@ -123,7 +123,7 @@ class EnclaveRuntime:
         count: int,
         access: AccessType = AccessType.READ,
     ) -> int:
-        """A timed run of *count* enclave accesses (one block-API call)."""
+        """A timed run of *count* enclave accesses (one run-loop call)."""
         if not handle.alive:
             raise MonitorError("enclave already destroyed")
         return self.system.machine.access_run(

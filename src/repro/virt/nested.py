@@ -12,11 +12,13 @@ The timed path routes through the host machine's shared
 the data reference are priced by the same check → charge → account pipeline
 as the native path, tagged :data:`RefKind.GUEST_PT` / :data:`RefKind.NPT` /
 :data:`RefKind.DATA` so observability hooks can attribute every reference
-of the 3D walk.  A guest access is the hart's scalar step,
-``Hart._access_core``, and a guest run the hart's run loop,
-:meth:`Hart.access_run <repro.soc.machine.Hart.access_run>`, both run on
-the VM: the combined TLB stands in for the hart's TLB and the 3D walk,
-:meth:`VirtualMachine._walk`, for the hart's page-table walk.
+of the 3D walk.  The VM has two timed entry points, as a hart has:
+:meth:`VirtualMachine.access` is the hart's scalar step,
+``Hart._access_core``, for one reference, and
+:meth:`VirtualMachine.access_run` the hart's run loop,
+:meth:`Hart.access_run <repro.soc.machine.Hart.access_run>`, for a strided
+run.  Both run on the VM: the combined TLB stands in for the hart's TLB and
+the 3D walk, :meth:`VirtualMachine._walk`, for the hart's page-table walk.
 
 ``GuestMemoryView`` lets the stock :class:`~repro.paging.pagetable.PageTable`
 build *guest* page tables: it looks like a physical memory addressed by GPA
@@ -32,7 +34,6 @@ from ..common.errors import AlignmentError, GuestPageFault, PageFault
 from ..common.stats import StatGroup
 from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, Permission, PrivilegeMode
 from ..engine import Account, RefKind
-from ..engine.block import AccessBlock
 from ..mem.physical import WORD_BYTES, PhysicalMemory
 from ..paging.pagetable import PageTable
 from ..paging.tlb import TLB, TLBEntry
@@ -323,14 +324,6 @@ class VirtualMachine:
         the host machine's hook set.
         """
         return self._run(self.guest_pt, gva, stride, count, access, S)[0]
-
-    def access_block(self, block: AccessBlock) -> int:
-        """Charge every run in *block* through :meth:`access_run`; returns cycles."""
-        run = self.access_run
-        total = 0
-        for gva, stride, count, access in block.runs:
-            total += run(gva, stride, count, access)
-        return total
 
     #: Paper-compatible name for :meth:`access` (the hlv.d probe).
     guest_access = access

@@ -101,7 +101,7 @@ class ServerlessNode:
         """The function body: import phase then the compute/access loop.
 
         ``frun(off, stride, count)`` fetches and ``drun(off, stride, count,
-        access)`` reads/writes a run of heap addresses — the block API lets
+        access)`` reads/writes a run of heap addresses — the run loop lets
         the import phase (one stride-2048 sequence over the code pages) and
         each wrap-segment of the sequential scan go down in a single call,
         with the same per-reference addresses as the old scalar closures.

@@ -97,7 +97,7 @@ class GAPWorkload:
         """Read offsets[v], offsets[v+1] and the adjacency slice (timed).
 
         The CSR scan is the GAP hot loop, so both the offset pair and the
-        adjacency slice go through the block API as unit-stride runs — the
+        adjacency slice go through the run loop as unit-stride runs — the
         same references in the same order as the old per-element loop.
         """
         self.arrays.read_run("offsets", v, 2)

@@ -16,7 +16,6 @@ from typing import Dict, Optional
 
 from ..common.errors import WorkloadError
 from ..common.types import PAGE_SIZE, AccessType, Permission, PrivilegeMode
-from ..engine.block import AccessBlock
 from ..mem.allocator import FrameAllocator
 from ..soc.system import AddressSpace, System
 
@@ -201,7 +200,6 @@ class HeapMap:
         # Hot-path bindings (touch() runs per object access).
         self._access_core = system.machine._access_core
         self._access_run = system.machine.access_run
-        self._access_block = system.machine.access_block
         self._page_table = self.space.page_table
         self._asid = self.space.asid
 
@@ -234,32 +232,6 @@ class HeapMap:
             cycles += self._access_run(page_table, va, 0, writes, _WRITE, U, asid)[0]
         self.cycles += cycles
         self.accesses += reads + writes
-        return cycles
-
-    def touch_into(
-        self,
-        block: AccessBlock,
-        obj_id: int,
-        writes: int = 0,
-        reads: int = 1,
-        field_offset: int = 0,
-    ) -> None:
-        """Append one object's touch pattern to *block* (submit later).
-
-        Lets a workload batch many object touches into a single
-        :meth:`submit` call instead of one machine call per object.
-        """
-        va = self.va_of(obj_id, field_offset)
-        if reads:
-            block.run(va, 0, reads, _READ)
-        if writes:
-            block.run(va, 0, writes, _WRITE)
-
-    def submit(self, block: AccessBlock) -> int:
-        """Charge a built-up block of object touches; returns cycles."""
-        cycles = self._access_block(self._page_table, block, U, self._asid)[0]
-        self.cycles += cycles
-        self.accesses += block.count
         return cycles
 
     def compute(self, cycles: int) -> None:

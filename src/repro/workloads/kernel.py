@@ -17,7 +17,6 @@ from typing import Dict, Optional
 
 from ..common.errors import WorkloadError
 from ..common.types import MIB, PAGE_SIZE, AccessType, Permission, PrivilegeMode
-from ..engine.block import AccessBlock
 from ..soc.system import AddressSpace, System
 
 #: Kernel virtual layout (Sv39 gives 256 GiB of kernel half; we use the top).
@@ -99,16 +98,10 @@ class KernelModel:
     def _access_run(
         self, space: AddressSpace, va: int, stride: int, count: int, access: AccessType, priv: PrivilegeMode
     ) -> int:
-        """A timed run of *count* accesses (one block-API call); returns cycles."""
+        """A timed run of *count* accesses (one run-loop call); returns cycles."""
         cycles = self.system.machine.access_run(
             space.page_table, va, stride, count, access, priv, space.asid
         )[0]
-        self.cycles += cycles
-        return cycles
-
-    def _access_block(self, space: AddressSpace, block: AccessBlock, priv: PrivilegeMode) -> int:
-        """Charge a built-up access block; returns cycles."""
-        cycles = self.system.machine.access_block(space.page_table, block, priv, space.asid)[0]
         self.cycles += cycles
         return cycles
 
@@ -117,7 +110,7 @@ class KernelModel:
 
         Sequential fetches share cache lines (16 RV64C instructions per line);
         one access is issued per 64-byte line reached.  Lines on one text
-        page form a stride-64 run, so the fetch stream is a handful of block
+        page form a stride-64 run, so the fetch stream is a handful of run-loop
         calls rather than a per-line Python loop.
         """
         cycles = 0
@@ -136,20 +129,20 @@ class KernelModel:
     def ktouch_structs(self, num_structs: int, reads_per_struct: int = 2, writes_per_struct: int = 0) -> int:
         """Walk *num_structs* kernel objects scattered over the kernel heap.
 
-        The repeated reads (then writes) per struct are zero-stride runs;
-        all structs batch into one block submitted in a single machine call.
-        The RNG draws stay in the exact per-struct order of the scalar loop.
+        The repeated reads (then writes) per struct are zero-stride runs; a
+        group of one reference is one scalar step.
         """
-        block = AccessBlock()
+        cycles = 0
         for _ in range(num_structs):
             page = self.rng.randrange(self.heap_pages)
             offset = self.rng.randrange(PAGE_SIZE // 64) * 64
             va = KERNEL_HEAP_VA + page * PAGE_SIZE + offset
-            if reads_per_struct:
-                block.run(va, 0, reads_per_struct, AccessType.READ)
-            if writes_per_struct:
-                block.run(va, 0, writes_per_struct, AccessType.WRITE)
-        return self._access_block(self.kspace, block, S)
+            for count, access in ((reads_per_struct, AccessType.READ), (writes_per_struct, AccessType.WRITE)):
+                if count == 1:
+                    cycles += self._access(self.kspace, va, access, S)
+                elif count:
+                    cycles += self._access_run(self.kspace, va, 0, count, access, S)
+        return cycles
 
     def copy_to_user(self, process: Process, user_va: int, nbytes: int) -> int:
         """Copy from a kernel buffer to user memory, 64 bytes per iteration."""

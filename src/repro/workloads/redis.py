@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..common.errors import WorkloadError
-from ..engine.block import AccessBlock
 from ..soc.system import System
 from ..tee.enclave import EnclaveRuntime
 from ..tee.monitor import HOST_DOMAIN_ID, SecureMonitor
@@ -190,16 +189,12 @@ class MiniRedis:
             nodes = self.lists["mylist"]
             cycles = self._lookup("mylist")
             n = min(count, len(nodes))
-            # The element loop dominates the LRANGE figures, so the whole
-            # chase is batched into one access block (same touches, same
-            # order) and submitted in a single machine call.
-            block = AccessBlock()
+            touch = self.heap.touch
             for i in range(n):
-                self.heap.touch_into(block, nodes[i], reads=2)  # node + value
+                cycles += touch(nodes[i], reads=2)  # node + value
                 # Each returned element materializes an ephemeral reply
                 # object (Redis robj churn) — a fresh heap slot every time.
-                self.heap.touch_into(block, self._alloc_node(), reads=1, writes=1)
-            cycles += self.heap.submit(block)
+                cycles += touch(self._alloc_node(), reads=1, writes=1)
             cycles += 4 * n  # serialize elements
             return cycles
         if command == "MSET":

@@ -10,16 +10,30 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
+from typing import Iterator, List, Optional, TextIO, Tuple
 
 from ..common.errors import WorkloadError
 from ..common.types import AccessType, PrivilegeMode
 from ..engine import EngineHook
-from ..soc.machine import TraceResult
 from ..soc.system import AddressSpace, System
 
 _TYPE_CODES = {AccessType.READ: "r", AccessType.WRITE: "w", AccessType.FETCH: "x"}
 _CODE_TYPES = {v: k for k, v in _TYPE_CODES.items()}
+
+
+@dataclass(frozen=True)
+class TraceResult:
+    """Aggregate outcome of a trace replay."""
+
+    accesses: int
+    cycles: int
+    pt_refs: int
+    checker_refs: int
+    tlb_hits: int
+
+    @property
+    def cycles_per_access(self) -> float:
+        return self.cycles / self.accesses if self.accesses else 0.0
 
 
 @dataclass(frozen=True)
@@ -103,11 +117,11 @@ class TraceRecorder(EngineHook):
     """An engine hook that captures every access a machine performs.
 
     Installing on the machine's :class:`~repro.engine.ReferenceEngine`
-    (rather than shadowing ``machine.access``) means the recorder sees all
-    timed paths uniformly: ``access``, the scalar step that workload
-    harnesses call directly, and the run loop behind ``access_run``,
-    ``access_block`` and ``run_trace`` (an ``on_access`` hook keeps that
-    loop from fusing, so every access is recorded).
+    (rather than shadowing ``machine.access``) means the recorder sees both
+    timed entry points uniformly: the scalar step, which ``access`` wraps
+    and workload harnesses call directly, and the run loop,
+    ``access_run`` (an ``on_access`` hook keeps that loop from fusing, so
+    every access is recorded).
 
     Use as a context manager::
 
@@ -143,7 +157,7 @@ def replay(
     """Replay a trace on a fresh system under *checker_kind*.
 
     Maps the trace's recorded regions (or uses a caller-provided space),
-    optionally cold-boots, and runs the stream through the timed path.
+    optionally cold-boots, and charges each entry with the scalar step.
     """
     system = System(machine=machine, checker_kind=checker_kind, mem_mib=mem_mib)
     if space is None:
@@ -154,8 +168,16 @@ def replay(
             space.map(va, size)
     if cold:
         system.machine.cold_boot()
-    stream: Iterable[Tuple[int, AccessType]] = ((e.va, e.access) for e in trace)
-    return system.machine.run_trace(space.page_table, stream, priv=priv, asid=space.asid)
+    step = system.machine._access_core
+    page_table, asid = space.page_table, space.asid
+    cycles = pt_refs = checker_refs = tlb_hits = 0
+    for entry in trace:
+        c, _pa, hit, p, k = step(page_table, entry.va, entry.access, priv, asid)
+        cycles += c
+        pt_refs += p
+        checker_refs += k
+        tlb_hits += hit
+    return TraceResult(len(trace), cycles, pt_refs, checker_refs, tlb_hits)
 
 
 def compare_replay(

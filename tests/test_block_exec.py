@@ -1,13 +1,13 @@
-"""Differential proof that block execution is byte-identical to scalar.
+"""Differential proof that the run loop's fused charges equal the scalar step.
 
 Every test here runs the same work twice — once free to take the fused
-run/bulk hit paths, and once with an access-only engine hook on every
-engine, which keeps each reference on the scalar step (its inlined-hit
-fast path included) — and asserts the observable universe matches: cycle
-totals, machine/TLB/hierarchy stat snapshots, raw cache residency (the
-per-set line lists), fault identity, and workload-level results.  This is
-the "proof by differential test" the block layer's equivalence argument
-rests on.
+charges of ``Hart.access_run``, and once with an access-only engine hook on
+every engine, which keeps each reference on the scalar step (its
+inlined-hit fast path included) — and asserts the observable universe
+matches: cycle totals, machine/TLB/hierarchy stat snapshots, raw cache
+residency (the per-set line lists), fault identity, and workload-level
+results.  This is the "proof by differential test" the fused charge's
+equivalence argument rests on.
 """
 
 import contextlib
@@ -17,12 +17,8 @@ import pytest
 from repro.common.errors import AccessFault, PageFault
 from repro.common.stats import Histogram
 from repro.common.types import PAGE_SIZE, AccessType, Permission, PrivilegeMode
-from repro.engine import (
-    AccessBlock,
-    EngineHook,
-    register_default_hook_factory,
-    unregister_default_hook_factory,
-)
+from repro.engine import EngineHook, register_default_hook_factory, unregister_default_hook_factory
+from repro.soc.machine import Hart
 from repro.soc.system import System
 
 VA = 0x40_0000_0000
@@ -56,9 +52,9 @@ def scalar_engines():
         unregister_default_hook_factory(factory)
 
 
-def build_system(block, kind="hpmp", machine="rocket", **kw):
-    """A fresh System; unless *block*, its engines are access-hooked."""
-    with contextlib.nullcontext() if block else scalar_engines():
+def build_system(fused, kind="hpmp", machine="rocket", **kw):
+    """A fresh System; unless *fused*, its engines are access-hooked."""
+    with contextlib.nullcontext() if fused else scalar_engines():
         return System(machine=machine, checker_kind=kind, mem_mib=kw.pop("mem_mib", 128), **kw)
 
 
@@ -91,18 +87,16 @@ def scalar_loop(machine, pt, va, stride, count, access=AccessType.READ, asid=0):
     return cycles, hits, pt_refs, ck
 
 
-def run_spans(hart, space, spans, block):
-    """Charge *spans* on *hart* as one AccessBlock, or as scalar loops."""
+def run_spans(hart, space, spans, fused):
+    """Charge *spans* on *hart* as access_run calls, or as scalar loops;
+    returns the summed (cycles, tlb_hits, pt_refs, checker_refs)."""
     pt, asid = space.page_table, space.asid
-    if block:
-        access_block = AccessBlock()
-        for va, stride, count, access in spans:
-            access_block.run(va, stride, count, access)
-        assert len(access_block.runs) == len(spans) and access_block.count == sum(r[2] for r in spans)
-        return hart.access_block(pt, access_block, PrivilegeMode.USER, asid)
     total = (0, 0, 0, 0)
     for va, stride, count, access in spans:
-        part = scalar_loop(hart, pt, va, stride, count, access, asid)
+        if fused:
+            part = hart.access_run(pt, va, stride, count, access, PrivilegeMode.USER, asid)
+        else:
+            part = scalar_loop(hart, pt, va, stride, count, access, asid)
         total = tuple(a + b for a, b in zip(total, part))
     return total
 
@@ -138,31 +132,6 @@ class TestAccessRunParity:
                 got = system.machine.access_run(pt, VA, 64, 80, AccessType.FETCH, PrivilegeMode.USER, asid)
             else:
                 got = scalar_loop(system.machine, pt, VA, 64, 80, AccessType.FETCH, asid)
-            results[mode] = (got, state(system))
-        assert results[True] == results[False]
-
-    def test_extra_cycles_charged_per_reference(self):
-        results = {}
-        for mode in MODES:
-            system = build_system(mode)
-            space = system.new_address_space()
-            space.map(VA, 2 * PAGE_SIZE, Permission.rw())
-            machine = system.machine
-            if mode:
-                got = machine.access_run(
-                    space.page_table, VA, 8, 100, AccessType.READ, PrivilegeMode.USER, space.asid, extra_cycles=3
-                )
-            else:
-                got = [0, 0, 0, 0]
-                for i in range(100):
-                    c, _pa, h, p, k = machine._access_core(
-                        space.page_table, VA + 8 * i, AccessType.READ, PrivilegeMode.USER, space.asid, 3
-                    )
-                    got[0] += c
-                    got[1] += 1 if h else 0
-                    got[2] += p
-                    got[3] += k
-                got = tuple(got)
             results[mode] = (got, state(system))
         assert results[True] == results[False]
 
@@ -236,9 +205,7 @@ class TestAccessRunParity:
         )
         assert down[0] > 0
 
-
-class TestAccessBlockParity:
-    def test_mixed_block_matches_scalar_loops(self):
+    def test_mixed_runs_match_scalar_loops(self):
         runs = [
             (VA, 0, 2, AccessType.READ),
             (VA + 128, 0, 1, AccessType.READ),
@@ -253,17 +220,6 @@ class TestAccessBlockParity:
             space.map(VA, 16 * PAGE_SIZE, Permission.rw())
             results[mode] = (run_spans(system.machine, space, runs, mode), state(system))
         assert results[True] == results[False]
-
-    def test_block_container_semantics(self):
-        block = AccessBlock()
-        block.run(VA, 8, 0, AccessType.READ)  # dropped: empty
-        block.run(VA, 8, -3, AccessType.READ)  # dropped: negative
-        assert len(block) == 0 and not block.runs
-        block.run(VA, 8, 5, AccessType.READ)
-        block.run(VA, 0, 1, AccessType.WRITE)
-        assert len(block) == 6 and len(block.runs) == 2  # len counts references
-        block.clear()
-        assert len(block) == 0 and not block.runs
 
 
 class _RefSpy(EngineHook):
@@ -332,15 +288,13 @@ class TestVirtParity:
             results[mode] = (cycles, state(system), vm.stats.snapshot())
         assert results[True] == results[False]
 
-    def test_vm_access_block_parity(self):
+    def test_vm_mixed_runs_parity(self):
         results = {}
         for mode in MODES:
             system, vm = self._build(mode)
             if mode:
-                block = AccessBlock()
-                block.run(VA, 64, 32, AccessType.READ)
-                block.run(VA + PAGE_SIZE, 0, 4, AccessType.WRITE)
-                cycles = vm.access_block(block)
+                cycles = vm.access_run(VA, 64, 32, AccessType.READ)
+                cycles += vm.access_run(VA + PAGE_SIZE, 0, 4, AccessType.WRITE)
             else:
                 cycles = sum(vm.access(VA + 64 * i, AccessType.READ).cycles for i in range(32))
                 cycles += sum(vm.access(VA + PAGE_SIZE, AccessType.WRITE).cycles for _ in range(4))
@@ -382,16 +336,33 @@ class TestVirtParity:
 
 
 def _both_modes(fn):
-    """Run *fn* plain, then with every engine access-hooked; return {mode: result}."""
-    out = {True: fn()}
+    """Run *fn* plain, then with every engine access-hooked; return {mode: result}.
+
+    A spy on ``Hart._access_core`` counts the plain side's hart steps.
+    Fewer steps than the hooked side's accesses means that some references
+    took a fused charge, so a case that cannot fuse fails here.
+    """
+    steps = 0
+    step = Hart._access_core
+
+    def counting_step(self, *args):
+        nonlocal steps
+        steps += 1
+        return step(self, *args)
+
+    Hart._access_core = counting_step
+    try:
+        plain = fn()
+    finally:
+        Hart._access_core = step
     with scalar_engines() as hook:
-        out[False] = fn()
-    assert hook.accesses  # the scalar side really ran observed
-    return out
+        hooked = fn()
+    assert 0 < steps < hook.accesses
+    return {True: plain, False: hooked}
 
 
 class TestWorkloadParity:
-    """Every converted workload generator, block vs scalar, tiny configs."""
+    """Workload generators whose runs fuse, plain vs access-hooked, tiny configs."""
 
     def test_gap_bfs(self):
         from repro.workloads.gap import run_kernel
@@ -430,13 +401,31 @@ class TestWorkloadParity:
         results = _both_modes(lambda: run_function("matmul", "pmpt", machine="rocket"))
         assert results[True] == results[False]
 
+
+class TestHookInvariance:
+    """Workloads that take only scalar steps: an access hook changes nothing.
+
+    ``run_fragmentation``'s strides (4 KiB, and 8 GiB + 4 KiB) put every
+    reference alone on its page, and ``replay`` charges every trace entry
+    with the scalar step, so neither fuses.  Each test runs the workload
+    plain and with an access-only hook on every engine and asserts equal
+    results: a hook observes and never alters timing.
+    """
+
+    def _plain_and_hooked(self, fn):
+        plain = fn()
+        with scalar_engines() as hook:
+            hooked = fn()
+        assert hook.accesses
+        return plain, hooked
+
     def test_microbench_fragmentation(self):
         from repro.workloads.microbench import run_fragmentation
 
-        results = _both_modes(
+        plain, hooked = self._plain_and_hooked(
             lambda: run_fragmentation("hpmp", "Fragmented-VA", True, num_pages=24, passes=2)
         )
-        assert results[True] == results[False]
+        assert plain == hooked
 
     def test_trace_record_and_replay(self):
         from repro.workloads.traces import Trace, replay
@@ -447,8 +436,8 @@ class TestWorkloadParity:
             trace.append(VA + 8 * i, AccessType.READ)
         for _ in range(16):
             trace.append(VA, AccessType.WRITE)
-        results = _both_modes(lambda: replay(trace, "hpmp", machine="rocket"))
-        assert results[True] == results[False]
+        plain, hooked = self._plain_and_hooked(lambda: replay(trace, "hpmp", machine="rocket"))
+        assert plain == hooked
 
 
 class TestRunnerIntegration:
@@ -459,27 +448,27 @@ class TestRunnerIntegration:
         from repro.runner.tasks import campaign_tasks, execute
 
         spec = min(campaign_tasks(["fig02"]), key=lambda s: s.task_id)
-        rows_block, stats_block = execute(spec, telemetry="light")
+        rows_plain, stats_plain = execute(spec, telemetry="light")
         with scalar_engines() as hook:
             rows_scalar, stats_scalar = execute(spec, telemetry="light")
         assert hook.accesses
-        assert rows_digest(rows_block) == rows_digest(rows_scalar)
-        assert stats_block.snapshot() == stats_scalar.snapshot()
+        assert rows_digest(rows_plain) == rows_digest(rows_scalar)
+        assert stats_plain.snapshot() == stats_scalar.snapshot()
 
 
 class TestMultiHartParity:
-    """Block vs access-hooked scalar execution under 2-hart interleaving.
+    """Fused vs access-hooked scalar execution under 2-hart interleaving.
 
     The interleaver splits fused runs at every hart-switch quantum
     boundary, and each chunk's bulk path falls back to scalar at its
-    edges — so even with interleaving, block and scalar execution must
+    edges — so even with interleaving, fused and scalar execution must
     stay byte-identical per hart.
     """
 
-    def _interleave(self, block, quantum):
+    def _interleave(self, fused, quantum):
         from repro.soc import HartProgram, RoundRobinInterleaver
 
-        system = build_system(block, harts=2)
+        system = build_system(fused, harts=2)
         machine = system.machine
         programs = []
         for i in range(2):
@@ -499,12 +488,12 @@ class TestMultiHartParity:
 
     @pytest.mark.parametrize("quantum", (1, 7, 64))
     def test_block_matches_scalar_interleaved(self, quantum):
-        block_result, block_state = self._interleave(True, quantum)
+        fused_result, fused_state = self._interleave(True, quantum)
         scalar_result, scalar_state = self._interleave(False, quantum)
-        assert [vars(h) for h in block_result.harts] == [
+        assert [vars(h) for h in fused_result.harts] == [
             vars(h) for h in scalar_result.harts
         ]
-        assert block_state == scalar_state
+        assert fused_state == scalar_state
 
 
 class TestStatsBlockEntryPoints:

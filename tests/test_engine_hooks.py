@@ -158,18 +158,25 @@ class TestHooksNeverAlterTiming:
             )[0]
             assert cycles == b_system.access(b_space, va).cycles
 
-    def test_run_trace_result_matches_machine_stats(self):
+    def test_access_run_result_matches_machine_stats(self):
+        """Summed access_run tuples equal the machine's counters: 16 runs of
+        one reference per page, then a stride-8 run that takes fused charges."""
         system, space = make_system("pmpt")
-        trace = [(VA + (i % 4) * PAGE_SIZE, AccessType.READ) for i in range(64)]
-        result = system.machine.run_trace(
-            space.page_table, iter(trace), asid=space.asid, compute_cycles_per_access=7
-        )
-        stats = system.machine.stats
-        assert result.accesses == stats["accesses"] == 64
-        assert result.cycles == stats["cycles"]  # compute cycles land in both
-        assert result.pt_refs == stats["pt_refs"]
-        assert result.checker_refs == stats["checker_refs"]
-        assert result.tlb_hits == stats["accesses"] - stats["tlb_misses"]
+        machine = system.machine
+        runs = [(VA, PAGE_SIZE, 4)] * 16 + [(VA, 8, 64)]
+        total = (0, 0, 0, 0)
+        for va, stride, count in runs:
+            part = machine.access_run(
+                space.page_table, va, stride, count, AccessType.READ, PrivilegeMode.USER, space.asid
+            )
+            total = tuple(a + b for a, b in zip(total, part))
+        cycles, tlb_hits, pt_refs, checker_refs = total
+        stats = machine.stats
+        assert stats["accesses"] == 128
+        assert cycles == stats["cycles"]
+        assert pt_refs == stats["pt_refs"]
+        assert checker_refs == stats["checker_refs"]
+        assert tlb_hits == stats["accesses"] - stats["tlb_misses"]
 
 
 class AccessCounter(EngineHook):

@@ -75,6 +75,19 @@ class TestCampaignTasks:
         assert stats["accesses"] == 9  # 3 modes x 3 schemes, one access each
         assert stats["refs.data"] == 9
 
+    def test_execute_full_telemetry_keeps_light_counters(self, tmp_path):
+        from repro.runner.cli import bench_summary
+
+        (task,) = campaign_tasks(["fig02"])
+        _, light = execute(task, telemetry="light")
+        _, full = execute(task, telemetry="full")
+        assert light["hierarchy.refs"] > 0
+        assert {key: full[key] for key in light.snapshot()} == light.snapshot()
+        cell = CellRecord(task.task_id, task.experiment, task.shard, STATUS_OK, wall_s=2.0, telemetry=full.snapshot())
+        manifest = RunManifest(wall_s=2.0, telemetry="full", cells=[cell])
+        summary = bench_summary(manifest, ResultStore(tmp_path, version="v-test"), generated_unix=0.0)
+        assert set(summary["cell_refs_per_s"]) == set(summary["cell_ns_per_ref"]) == {task.task_id}
+
     def test_execute_telemetry_levels_agree_on_rows(self):
         from repro.experiments.report import rows_digest
 

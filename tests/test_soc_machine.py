@@ -95,14 +95,6 @@ class TestAccessPath:
         sys_pmp.access(space, VA, AccessType.FETCH)
         assert sys_pmp.machine.hierarchy.l1i.resident_lines() > 0
 
-    def test_run_trace_accumulates(self, sys_pmp):
-        space = sys_pmp.new_address_space()
-        space.map(VA, 4 * PAGE_SIZE)
-        trace = [(VA + i * 64, AccessType.READ) for i in range(32)]
-        result = sys_pmp.machine.run_trace(space.page_table, trace, compute_cycles_per_access=5)
-        assert result.accesses == 32
-        assert result.cycles >= 32 * 5
-
     def test_write_mlp_not_applied_on_boom(self):
         """Store checks stay on the critical path on the OoO core."""
         results = {}

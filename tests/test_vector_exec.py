@@ -1,9 +1,9 @@
 """Differential proof that whole access programs are byte-identical to scalar.
 
-:mod:`tests.test_block_exec` checks single runs (``access_run``) and the
-:class:`AccessBlock` container.  This module checks *programs*: several
-runs of mixed shape charged as one block — on the primary or a secondary
-hart, under hpmp and pmpt, inside a virtual machine, and as emitted by the
+:mod:`tests.test_block_exec` checks single runs (``access_run``).  This
+module checks *programs*: several runs of mixed shape charged as
+consecutive ``access_run`` calls — on the primary or a secondary hart,
+under hpmp and pmpt, inside a virtual machine, and as emitted by the
 workload generators — against the same work with an access hook on every
 engine, which keeps each reference on the scalar step, cold and warm.  The
 assertions cover cycle totals, machine/TLB/hierarchy stat snapshots, raw
@@ -11,8 +11,8 @@ cache residency, fault identity and workload results.  It
 also pins what a program shows engine hooks, that a TLB flush or a
 permission drop between or inside programs is never served from stale
 state, and that the timed path runs without numpy.  (The module name dates
-from a numpy program evaluator that has since been removed; block
-execution is the only bulk path.)
+from a numpy program evaluator that has since been removed; the run loop
+is the only bulk path.)
 """
 
 import os
@@ -24,7 +24,7 @@ import pytest
 import repro
 from repro.common.errors import AccessFault, PageFault
 from repro.common.types import PAGE_SIZE, AccessType, Permission
-from repro.engine import AccessBlock, EngineHook
+from repro.engine import EngineHook
 
 from .test_block_exec import (
     MODES,
@@ -223,13 +223,11 @@ class TestModeLatches:
             "sys.modules['numpy'] = None  # any 'import numpy' now fails\n"
             "import repro\n"
             "from repro.common.types import PAGE_SIZE, AccessType, Permission\n"
-            "from repro.engine import AccessBlock\n"
             "from repro.soc.system import System\n"
             "system = System(machine='rocket', checker_kind='hpmp', mem_mib=128)\n"
             "space = system.new_address_space()\n"
             f"space.map({VA}, 4 * PAGE_SIZE, Permission.rw())\n"
-            f"block = AccessBlock().run({VA}, 8, 2000, AccessType.READ)\n"
-            "cycles, hits, _, _ = system.machine.access_block(space.page_table, block, asid=space.asid)\n"
+            f"cycles, hits, _, _ = system.machine.access_run(space.page_table, {VA}, 8, 2000, asid=space.asid)\n"
             "print(cycles, hits)\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -270,14 +268,11 @@ class TestVirtParity:
         results = {}
         for mode in MODES:
             system, vm = self._build(mode)
-            if mode:
-                block = AccessBlock()
-                for va, stride, count, access in spans:
-                    block.run(va, stride, count, access)
-                cycles = vm.access_block(block)
-            else:
-                cycles = 0
-                for va, stride, count, access in spans:
+            cycles = 0
+            for va, stride, count, access in spans:
+                if mode:
+                    cycles += vm.access_run(va, stride, count, access)
+                else:
                     cycles += sum(vm.access(va + stride * i, access).cycles for i in range(count))
             results[mode] = (cycles, state(system), vm.stats.snapshot())
         assert results[True] == results[False]
