@@ -40,6 +40,12 @@ class PrivilegeMode(enum.IntEnum):
     MACHINE = 3
 
 
+# Module constants: an enum member lookup (``AccessType.READ``) costs several
+# times a global's, and ``Permission.allows`` runs once per checker check.
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+
+
 @dataclass(frozen=True)
 class Permission:
     """An R/W/X permission triple.
@@ -53,9 +59,9 @@ class Permission:
 
     def allows(self, access: AccessType) -> bool:
         """Return True if this permission permits *access*."""
-        if access is AccessType.READ:
+        if access is _READ:
             return self.r
-        if access is AccessType.WRITE:
+        if access is _WRITE:
             return self.w
         return self.x
 

@@ -58,9 +58,10 @@ def partition_rv8(machine: str = "rocket", scale: float = 1.0, programs=PROGRAMS
 def partition_gap(machine: str = "rocket", scale: int = 12, kernels=KERNELS):
     """Intra-cell sharding plan for :func:`run_gap`: one sub-shard per GAP
     kernel.  Each kernel × scheme run constructs a fresh ``System`` and
-    graph from the same seed, so every sub-shard simulates exactly the
-    slice the unsharded cell would; rows merge by concatenation in kernel
-    order."""
+    takes the same immutable graph (:func:`~repro.workloads.gap.kron_graph`,
+    built once per process from the same seed), so every sub-shard
+    simulates exactly the slice the unsharded cell would; rows merge by
+    concatenation in kernel order."""
     return [
         (kernel, "run_gap", {"machine": machine, "scale": scale, "kernels": [kernel]})
         for kernel in kernels

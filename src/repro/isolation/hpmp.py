@@ -33,6 +33,10 @@ ADDR_PPN_MASK = (1 << 44) - 1
 #: PMPTW-Cache instead of memory.
 PMPTW_CACHE_HIT_CYCLES = 1
 
+# A module constant: an enum member lookup costs several times a global's,
+# and ``check`` runs once per checked reference.
+_MACHINE = PrivilegeMode.MACHINE
+
 
 def encode_table_addr(root_pa: int, mode: int) -> int:
     """Encode a PMP-table base into the successor entry's addr register."""
@@ -213,11 +217,11 @@ class HPMPChecker:
         index = regfile.match(paddr)
         cost = None
         if index is None:
-            if priv is PrivilegeMode.MACHINE:
+            if priv is _MACHINE:
                 return ZERO_COST
         else:
             entry = regfile.entries[index]
-            if priv is PrivilegeMode.MACHINE and not entry.locked:
+            if priv is _MACHINE and not entry.locked:
                 return ZERO_COST
             if entry.table:
                 # table_for raises the ConfigurationError for an unbound entry.

@@ -26,6 +26,10 @@ from .checker import ZERO_COST, ZERO_COSTS, CheckCost
 
 PMP_ENTRIES = 16
 
+# A module constant: an enum member lookup costs several times a global's,
+# and ``PMPChecker.check`` runs once per checked reference.
+_MACHINE = PrivilegeMode.MACHINE
+
 # Config-register bit positions (RISC-V privileged spec; T is HPMP's bit 5).
 CFG_R = 1 << 0
 CFG_W = 1 << 1
@@ -267,11 +271,11 @@ class PMPChecker:
         regfile = self.regfile
         index = regfile.match(paddr)
         if index is None:
-            if priv is PrivilegeMode.MACHINE:
+            if priv is _MACHINE:
                 return ZERO_COST
         else:
             entry = regfile.entries[index]
-            if priv is PrivilegeMode.MACHINE and not entry.locked:
+            if priv is _MACHINE and not entry.locked:
                 return ZERO_COST
             perm = entry.perm
             cost = ZERO_COSTS[perm.r, perm.w, perm.x]

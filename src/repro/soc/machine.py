@@ -62,11 +62,13 @@ from ..paging.ptecache import PageWalkCache
 from ..paging.tlb import TLB, TLBEntry
 
 # Module constants: an enum member lookup (``AccessType.READ``) costs several
-# times a global's, and the scalar step and run loop test the access type
-# per reference.
+# times a global's.  The scalar step and run loop test the access type per
+# reference; the walk tests the privilege mode and tags each step.
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
 _FETCH = AccessType.FETCH
+_PT = RefKind.PT
+_USER = PrivilegeMode.USER
 
 
 @dataclass(frozen=True)
@@ -237,13 +239,13 @@ class Hart:
         for i, step in enumerate(steps):
             if step.level > start_level:
                 continue  # resolved by the PWC
-            step_ref(acct, step.pte_addr, RefKind.PT, priv)
+            step_ref(acct, step.pte_addr, _PT, priv)
             if i < last:
                 # A pointer PTE: remember the child table for future walks.
                 pwc_insert(root_pa, va, step.level - 1, steps[i + 1].pte_addr & ~PAGE_MASK, levels)
         if not walk.perm.allows(access):
             raise engine.fault(PageFault(va, f"page permission {walk.perm} denies {access.value}"))
-        if priv is PrivilegeMode.USER and not walk.user:
+        if priv is _USER and not walk.user:
             raise engine.fault(PageFault(va, "user access to supervisor page"))
         return TLBEntry(va >> PAGE_SHIFT, walk.paddr >> PAGE_SHIFT, walk.perm, walk.user)
 

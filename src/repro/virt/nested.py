@@ -41,6 +41,10 @@ from ..soc.machine import Hart
 from ..soc.system import System
 
 S = PrivilegeMode.SUPERVISOR
+# Module constants: an enum member lookup costs several times a global's,
+# and the 3D walk tags every step.
+_NPT = RefKind.NPT
+_GUEST_PT = RefKind.GUEST_PT
 
 #: Guest-physical layout.
 GUEST_DRAM_BASE = 0x0000_0000
@@ -263,7 +267,7 @@ class VirtualMachine:
         walk = self.npt.walk(gpa & ~PAGE_MASK)  # the page-level memo
         step_ref = engine.step_ref
         for step in walk.steps:
-            step_ref(acct, step.pte_addr, RefKind.NPT, S)
+            step_ref(acct, step.pte_addr, _NPT, S)
         entry = TLBEntry(gpa >> PAGE_SHIFT, walk.paddr >> PAGE_SHIFT, walk.perm, True)
         self.g_tlb.fill(entry)
         if engine._fill_hooks:
@@ -298,7 +302,7 @@ class VirtualMachine:
             # step.pte_addr is a GPA: translate it through the G stage...
             hpa_pte = nested_resolve(acct, step.pte_addr)
             # ...then check and read the guest PT page itself.
-            step_ref(acct, hpa_pte, RefKind.GUEST_PT, priv)
+            step_ref(acct, hpa_pte, _GUEST_PT, priv)
         if not gwalk.perm.allows(access):
             raise engine.fault(PageFault(gva, f"page permission {gwalk.perm} denies {access.value}"))
         hpa_page = nested_resolve(acct, gwalk.paddr)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.errors import WorkloadError
 from repro.workloads.functionbench import FUNCTIONS, ServerlessNode, run_function
-from repro.workloads.gap import CSRGraph, GAPWorkload, rmat_edges, run_kernel
+from repro.workloads.gap import KERNELS, CSRGraph, GAPWorkload, kron_graph, rmat_edges, run_kernel
 from repro.workloads.redis import COMMANDS, build_server, run_command
 from repro.workloads.rv8 import PROFILES, PROGRAMS, run_program
 from repro.workloads.serverless_chain import run_chain
@@ -72,6 +72,55 @@ class TestGraph:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(WorkloadError):
             run_kernel("dijkstra", "pmp", scale=5)
+
+
+def _csr(graph):
+    return graph.n, graph.offsets, graph.neighbors
+
+
+class TestKronGraph:
+    """The per-process graph memo every GAP kernel × scheme run shares."""
+
+    def test_equal_keys_share_one_graph(self):
+        graph = kron_graph(6, 4, 2)
+        assert kron_graph(6, 4, 2) is graph
+        system = System(machine="rocket", checker_kind="pmp", mem_mib=128)
+        assert GAPWorkload(system, scale=6, degree=4, seed=2).graph is graph
+
+    @pytest.mark.parametrize("key", [(5, 4, 2), (6, 3, 2), (6, 4, 3)], ids=["scale", "degree", "seed"])
+    def test_each_key_field_selects_its_own_graph(self, key):
+        graph = kron_graph(*key)
+        assert graph is not kron_graph(6, 4, 2)
+        assert _csr(graph) != _csr(kron_graph(6, 4, 2))
+        assert _csr(graph) == _csr(CSRGraph(1 << key[0], rmat_edges(*key)))
+
+    def test_cache_is_bounded(self):
+        maxsize = kron_graph.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+    def test_csr_arrays_are_tuples(self):
+        graph = kron_graph(6, 4, 2)
+        assert type(graph.offsets) is tuple and type(graph.neighbors) is tuple
+
+    def test_shared_graph_equals_fresh_build_before_and_after_every_kernel(self):
+        fresh = _csr(CSRGraph(1 << 6, rmat_edges(6, 4, 2)))
+        graph = kron_graph(6, 4, 2)
+        assert _csr(graph) == fresh
+        for kernel in KERNELS:
+            run_kernel(kernel, "hpmp", scale=6, degree=4, seed=2)
+        assert kron_graph(6, 4, 2) is graph
+        assert _csr(graph) == fresh
+
+    def test_run_kernel_same_from_cold_and_warm_cache(self):
+        def cold(seed):
+            kron_graph.cache_clear()
+            return run_kernel("bfs", "hpmp", scale=6, seed=seed)
+
+        expected = {seed: cold(seed) for seed in (0, 1)}
+        assert expected[0] != expected[1]
+        kron_graph.cache_clear()
+        for seed in (0, 1, 0):  # seed 1 between two seed-0 runs, cache warm
+            assert run_kernel("bfs", "hpmp", scale=6, seed=seed) == expected[seed]
 
 
 class TestRV8:
