@@ -50,23 +50,17 @@ class Histogram:
         self.max: Optional[int] = None
         self._buckets: List[int] = []
 
-    def observe(self, value: int, count: int = 1) -> None:
-        """Record *value* (``count`` times).  Negative values are clamped to 0.
-
-        ``count`` is the block-aware entry point: a bulk path that charges N
-        identical references in one pass records them here with one call,
-        leaving every aggregate (count, total, min, max, buckets) exactly as
-        N single observes would.
-        """
+    def observe(self, value: int) -> None:
+        """Record one sample of *value*.  Negative values are clamped to 0."""
         if value < 0:
             value = 0
         index = value.bit_length()
         buckets = self._buckets
         if index >= len(buckets):
             buckets.extend([0] * (index + 1 - len(buckets)))
-        buckets[index] += count
-        self.count += count
-        self.total += value * count
+        buckets[index] += 1
+        self.count += 1
+        self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -284,9 +278,9 @@ class StatGroup:
             hist = self._histograms[key] = Histogram(key)
         return hist
 
-    def observe(self, key: str, value: int, count: int = 1) -> None:
+    def observe(self, key: str, value: int) -> None:
         """Record *value* into the named histogram."""
-        self.histogram(key).observe(value, count)
+        self.histogram(key).observe(value)
 
     def histograms(self) -> Dict[str, Histogram]:
         """All histograms this group owns (live objects, not copies)."""

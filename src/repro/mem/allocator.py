@@ -21,7 +21,9 @@ class _LiveIndex:
 
     Lets the allocator answer "which slot holds the k-th live frame?" in
     O(log n) without compacting the list first — the order-statistics query
-    behind :meth:`FrameAllocator.alloc_scattered`.  Capacity grows by
+    behind :meth:`FrameAllocator.alloc_scattered`.  It is a pure function of
+    the free list, so the allocator builds it only when a scattered draw
+    first finds tombstones and drops it when it compacts.  Capacity grows by
     doubling when the list does; rebuilds are O(n) and amortized away.
     """
 
@@ -94,10 +96,13 @@ class FrameAllocator:
         # answers the order-statistics query alloc_scattered needs ("slot of
         # the k-th live frame") without compacting first.  Both preserve the
         # exact live order — and therefore the exact allocation sequence — of
-        # the compact-before-every-draw implementation this replaces.
+        # the compact-before-every-draw implementation this replaces.  The
+        # live index exists only from the first scattered draw over
+        # tombstones until the next compaction (None otherwise): an
+        # allocator that never makes such a draw never builds or updates it.
         self._pos: Dict[int, int] = {frame: i for i, frame in enumerate(self._free)}
         self._tombstones = 0
-        self._live = _LiveIndex([1] * len(self._free))
+        self._live: Optional[_LiveIndex] = None
         # No free frame lies below the scan floor, so contiguous scans can
         # start there instead of at the region base.  Only free() lowers it.
         self._scan_floor = region.base
@@ -117,7 +122,7 @@ class FrameAllocator:
         self._free = [frame for frame in self._free if frame is not None]
         self._pos = {frame: i for i, frame in enumerate(self._free)}
         self._tombstones = 0
-        self._live.rebuild([1] * len(self._free))
+        self._live = None
 
     def alloc(self) -> int:
         """Allocate one frame; returns its base PA."""
@@ -126,7 +131,8 @@ class FrameAllocator:
         while free:
             frame = pop()
             if frame is not None:
-                self._live.add(len(free), -1)
+                if self._live is not None:
+                    self._live.add(len(free), -1)
                 del self._pos[frame]
                 self._allocated.add(frame)
                 return frame
@@ -143,16 +149,22 @@ class FrameAllocator:
         Equivalent to compacting and then drawing ``randrange(len(free))``,
         swapping the last free frame into the drawn slot: the draw is over
         the live count either way, the k-th live frame is found through the
-        Fenwick index instead of by compacting, and the frame moved into the
-        vacated slot is the last *live* frame — so the live order (and every
-        future draw and pop) matches the compacting implementation exactly.
+        Fenwick index (built here on the first draw over tombstones) instead
+        of by compacting, and the frame moved into the vacated slot is the
+        last *live* frame — so the live order (and every future draw and
+        pop) matches the compacting implementation exactly.
         """
         live_count = len(self._pos)
         if not live_count:
             raise MemoryError_(f"frame allocator exhausted ({self.region})")
         free = self._free
         index = self._rng.randrange(live_count)
-        slot = self._live.select(index) if self._tombstones else index
+        if self._tombstones:
+            if self._live is None:
+                self._live = _LiveIndex([1 if f is not None else 0 for f in free])
+            slot = self._live.select(index)
+        else:
+            slot = index
         frame = free[slot]
         # Shed trailing tombstones so the swap source is the last live frame
         # (their live flags are already clear; popping only shortens the list).
@@ -165,7 +177,8 @@ class FrameAllocator:
             free[slot] = moved
             self._pos[moved] = slot
         free.pop()
-        self._live.add(last, -1)
+        if self._live is not None:
+            self._live.add(last, -1)
         del self._pos[frame]
         self._allocated.add(frame)
         return frame
@@ -202,11 +215,12 @@ class FrameAllocator:
                 frame += PAGE_SIZE
             if frame == run_end:
                 free = self._free
-                mark = self._live.add
+                live = self._live
                 for taken in range(base, run_end, PAGE_SIZE):
                     slot = pos.pop(taken)
                     free[slot] = None
-                    mark(slot, -1)
+                    if live is not None:
+                        live.add(slot, -1)
                 self._tombstones += num_frames
                 self._allocated.update(range(base, run_end, PAGE_SIZE))
                 if self._tombstones * 2 > len(free):
@@ -224,12 +238,12 @@ class FrameAllocator:
         slot = len(self._free)
         self._pos[frame] = slot
         self._free.append(frame)
-        if slot >= self._live.size:
-            self._live.rebuild(
-                [1 if f is not None else 0 for f in self._free], capacity=2 * (slot + 1)
-            )
-        else:
-            self._live.add(slot, 1)
+        live = self._live
+        if live is not None:
+            if slot >= live.size:
+                live.rebuild([1 if f is not None else 0 for f in self._free], capacity=2 * (slot + 1))
+            else:
+                live.add(slot, 1)
         if frame < self._scan_floor:
             self._scan_floor = frame
 
@@ -240,11 +254,12 @@ class FrameAllocator:
         if missing:
             raise MemoryError_(f"reserve: {len(missing)} frames not free (first {min(missing):#x})")
         free = self._free
-        mark = self._live.add
+        live = self._live
         for frame in wanted:
             slot = self._pos.pop(frame)
             free[slot] = None
-            mark(slot, -1)
+            if live is not None:
+                live.add(slot, -1)
         self._tombstones += len(wanted)
         self._allocated |= wanted
         if self._tombstones * 2 > len(free):

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..common.errors import AlignmentError, GuestPageFault, PageFault
+from ..common.errors import AlignmentError, GuestPageFault, MemoryError_, PageFault
 from ..common.stats import StatGroup
 from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, Permission, PrivilegeMode
 from ..engine import Account, RefKind
@@ -93,11 +93,14 @@ class GuestMemoryView:
         """Set every word in ``[gpa, gpa+length)`` to *value64*.
 
         The range is split at guest page boundaries and each piece is
-        filled in the host frame that backs its page.  Alignment and
-        backing are checked for the whole range before any word is written.
+        filled in the host frame that backs its page.  Alignment, length
+        and backing are checked for the whole range before any word is
+        written.
         """
         if gpa % WORD_BYTES or length % WORD_BYTES:
             raise AlignmentError(f"fill [{gpa:#x},+{length:#x}) not word-aligned")
+        if length < 0:
+            raise MemoryError_(f"fill [{gpa:#x},{length:+#x}) has a negative length")
         pieces = []
         addr, end = gpa, gpa + length
         while addr < end:

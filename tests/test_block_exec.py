@@ -15,7 +15,6 @@ import contextlib
 import pytest
 
 from repro.common.errors import AccessFault, PageFault
-from repro.common.stats import Histogram
 from repro.common.types import PAGE_SIZE, AccessType, Permission, PrivilegeMode
 from repro.engine import EngineHook, register_default_hook_factory, unregister_default_hook_factory
 from repro.soc.machine import Hart
@@ -494,16 +493,3 @@ class TestMultiHartParity:
             vars(h) for h in scalar_result.harts
         ]
         assert fused_state == scalar_state
-
-
-class TestStatsBlockEntryPoints:
-    def test_histogram_observe_count(self):
-        one = Histogram("lat")
-        bulk = Histogram("lat")
-        for _ in range(7):
-            one.observe(13)
-        bulk.observe(13, count=7)
-        one.observe(5)
-        bulk.observe(5)
-        assert (one.count, one.total, one.min, one.max) == (bulk.count, bulk.total, bulk.min, bulk.max)
-        assert one.buckets() == bulk.buckets()

@@ -26,6 +26,7 @@ from repro.cloud import (
 )
 from repro.cloud.adversarial import ELEPHANT_HEAP_PAGES
 from repro.common.errors import WorkloadError
+from repro.common.types import PAGE_SIZE
 
 
 class TestArrivals:
@@ -124,6 +125,34 @@ class TestCloudNode:
         idle = baseline.system.data_frames.fragmentation()["allocated_frames"]
         _, report = self._run()
         assert report["frag_final"]["allocated_frames"] == idle
+
+    @pytest.mark.parametrize("scheme", ["pmpt", "hpmp"])
+    def test_every_teardown_conserves_frames(self, scheme, monkeypatch):
+        # After every teardown each of the system's pools accounts for every
+        # frame of its region: free plus allocated, nothing lost or doubled.
+        node = CloudNode(scheme=scheme, seed=3)
+        system = node.system
+        pools = {
+            "data": system.data_frames,
+            "pt": system.pt_frames,
+            "table": system.table_frames,
+        }
+        teardown = node._teardown
+        seen = []
+
+        def checked_teardown(tenant):
+            teardown(tenant)
+            for name, pool in pools.items():
+                frames = pool.region.size // PAGE_SIZE
+                assert pool.free_frames + pool.allocated_frames == frames, (name, len(seen))
+            seen.append(tenant.spec.name)
+
+        idle = {name: pool.allocated_frames for name, pool in pools.items()}
+        monkeypatch.setattr(node, "_teardown", checked_teardown)
+        report = node.run_trace(poisson_trace(12, seed=3))
+        assert len(seen) == report["completed"] == 12
+        # The drained node holds what it held before the first admission.
+        assert {name: pool.allocated_frames for name, pool in pools.items()} == idle
 
     def test_rejection_path_keeps_the_node_alive(self):
         # Three simultaneous ~12 MiB tenants against a 32 MiB data pool:

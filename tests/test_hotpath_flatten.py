@@ -351,7 +351,7 @@ class ReferenceAllocator:
 class TestAllocatorEquivalence:
     """The indexed FrameAllocator hands out the exact same frame sequence as
     the rebuild-every-call reference, under interleaved alloc / scattered /
-    contiguous / free streams on both fresh and fragmented pools."""
+    contiguous / reserve / free streams on both fresh and fragmented pools."""
 
     @pytest.mark.parametrize("scatter", [False, True])
     @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -363,8 +363,8 @@ class TestAllocatorEquivalence:
         live = []
         for step in range(1200):
             op = rng.choices(
-                ["alloc", "scattered", "contiguous", "free"],
-                weights=[30, 20, 15, 25],
+                ["alloc", "scattered", "contiguous", "reserve", "free"],
+                weights=[30, 20, 15, 10, 25],
             )[0]
             try:
                 if op == "alloc":
@@ -381,6 +381,14 @@ class TestAllocatorEquivalence:
                     got = fast.alloc_contiguous(frames, align_frames=align)
                     assert got == reference.alloc_contiguous(frames, align_frames=align), step
                     live.append((got, frames))
+                elif op == "reserve":
+                    # The reference does not check that the range is free, so
+                    # the fast allocator goes first and a refusal skips both.
+                    frames = rng.choice([1, 2, 4])
+                    base = region.base + rng.randrange(512 - frames + 1) * PAGE_SIZE
+                    fast.reserve(base, frames * PAGE_SIZE)
+                    reference.reserve(base, frames * PAGE_SIZE)
+                    live.append((base, frames))
                 elif live:
                     base, frames = live.pop(rng.randrange(len(live)))
                     for i in range(frames):
@@ -390,6 +398,57 @@ class TestAllocatorEquivalence:
                 continue
             assert fast.free_frames == reference.free_frames, step
         # Drain both: the full remaining order must agree too.
+        while reference.free_frames:
+            assert fast.alloc() == reference.alloc()
+
+    @pytest.mark.parametrize("scatter", [False, True])
+    def test_index_built_from_tombstones_and_again_after_compaction(self, scatter):
+        """The live index is built on the first scattered draw that finds
+        tombstones, dropped by a compaction and built again by the next
+        such draw; the frames handed out never differ from the reference."""
+        region = MemRegion(0x8000_0000, 512 * PAGE_SIZE)
+        fast = FrameAllocator(region, scatter=scatter, seed=5)
+        reference = ReferenceAllocator(region, scatter=scatter, seed=5)
+        rng = random.Random(77)
+        held = []
+
+        def both(op, *args):
+            got = getattr(fast, op)(*args)
+            assert got == getattr(reference, op)(*args), op
+            return got
+
+        def free_some(count):
+            for _ in range(min(count, len(held))):
+                base, frames = held.pop(rng.randrange(len(held)))
+                for i in range(frames):
+                    both("free", base + i * PAGE_SIZE)
+
+        # Many contiguous allocations and frees, no scattered draw yet.
+        for _ in range(60):
+            frames = rng.choice([1, 2, 4])
+            held.append((both("alloc_contiguous", frames), frames))
+            if rng.random() < 0.4:
+                free_some(1)
+        assert fast._tombstones and fast._live is None
+        for _ in range(30):
+            held.append((both("alloc_scattered"), 1))
+        assert fast._live is not None
+        free_some(20)  # frees update the index once it exists
+        # Contiguous runs until a compaction drops the index.
+        while fast._live is not None:
+            held.append((both("alloc_contiguous", 8), 8))
+        assert not fast._tombstones
+        held.append((both("alloc_scattered"), 1))
+        assert fast._live is None  # no tombstones: the draw needs no index
+        for _ in range(4):
+            held.append((both("alloc_contiguous", 2), 2))
+        assert fast._tombstones
+        for _ in range(30):
+            held.append((both("alloc_scattered"), 1))
+        assert fast._live is not None
+        free_some(len(held) // 2)
+        for _ in range(30):
+            held.append((both("alloc_scattered"), 1))
         while reference.free_frames:
             assert fast.alloc() == reference.alloc()
 

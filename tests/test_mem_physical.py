@@ -66,6 +66,19 @@ class TestPhysicalMemory:
         assert mem.read64(last) == 5
         assert mem.touched_words() == 1
 
+    @pytest.mark.parametrize("value", [0, 0xAA])
+    def test_negative_fill_length_rejected_before_writing(self, value):
+        mem = PhysicalMemory(1 * MIB, base=BASE)
+        mem.write64(BASE, 5)
+        epoch = mem.epoch
+        with pytest.raises(MemoryError_):
+            mem.fill(BASE + 8, -8, value)
+        with pytest.raises(MemoryError_):
+            mem.fill(BASE + PAGE_SIZE, -PAGE_SIZE, value)
+        assert mem.epoch == epoch
+        assert mem.read64(BASE) == 5
+        assert mem.touched_words() == 1
+
     def test_bad_size_rejected(self):
         with pytest.raises(MemoryError_):
             PhysicalMemory(0)
@@ -76,6 +89,88 @@ class TestPhysicalMemory:
         addr = BASE + word_index * 8
         mem.write64(addr, value)
         assert mem.read64(addr) == value
+
+
+#: The differential test's memory: a few pages, so random ranges overlap.
+_PAGES = 3
+_WORDS_PER_PAGE = PAGE_SIZE // 8
+_WORDS = _PAGES * _WORDS_PER_PAGE
+_VALUES = st.one_of(st.just(0), st.just(2**64 - 1), st.integers(1, 2**64 - 1))
+
+
+@st.composite
+def _fill_range(draw):
+    """``(first word, word count)`` of a fill: whole pages, part of one
+    page, a range across a page boundary, or an empty range."""
+    shape = draw(st.sampled_from(["pages", "partial", "crossing", "empty"]))
+    if shape == "pages":
+        first = draw(st.integers(0, _PAGES - 1))
+        count = draw(st.integers(1, _PAGES - first))
+        return first * _WORDS_PER_PAGE, count * _WORDS_PER_PAGE
+    if shape == "partial":
+        page = draw(st.integers(0, _PAGES - 1)) * _WORDS_PER_PAGE
+        lo = draw(st.integers(0, _WORDS_PER_PAGE - 1))
+        hi = draw(st.integers(lo + 1, _WORDS_PER_PAGE))
+        return page + lo, hi - lo
+    if shape == "crossing":
+        boundary = draw(st.integers(1, _PAGES - 1)) * _WORDS_PER_PAGE
+        lo = draw(st.integers(boundary - _WORDS_PER_PAGE, boundary - 1))
+        hi = draw(st.integers(boundary + 1, min(_WORDS, boundary + _WORDS_PER_PAGE)))
+        return lo, hi - lo
+    return draw(st.integers(0, _WORDS)), 0
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, _WORDS - 1), _VALUES),
+        st.tuples(st.just("fill"), _fill_range(), _VALUES),
+        st.tuples(st.just("read"), st.integers(0, _WORDS - 1)),
+    ),
+    max_size=30,
+)
+
+
+class TestPageStoreDifferential:
+    """The page-granular store against a flat ``{address: value}`` model:
+    ``write64`` stores a word (a zero too), a non-zero ``fill`` stores its
+    range, a zero ``fill`` removes its range, and every write64 or
+    non-empty fill bumps ``epoch`` once."""
+
+    @given(_OPS)
+    def test_random_ops_match_a_flat_reference(self, ops):
+        mem = PhysicalMemory(_PAGES * PAGE_SIZE, base=BASE)
+        reference = {}
+        epoch = 0
+        touched = set()
+        for op in ops:
+            if op[0] == "write":
+                _, word, value = op
+                addr = BASE + 8 * word
+                mem.write64(addr, value)
+                reference[addr] = value
+                epoch += 1
+                touched.add(addr)
+            elif op[0] == "fill":
+                _, (word, count), value = op
+                addrs = range(BASE + 8 * word, BASE + 8 * (word + count), 8)
+                mem.fill(addrs.start, 8 * count, value)
+                for addr in addrs:
+                    if value:
+                        reference[addr] = value
+                    else:
+                        reference.pop(addr, None)
+                if count:
+                    epoch += 1
+                touched.update(addrs)
+            else:
+                addr = BASE + 8 * op[1]
+                assert mem.read64(addr) == reference.get(addr, 0), op
+                touched.add(addr)
+            assert {addr: mem.read64(addr) for addr in touched} == {
+                addr: reference.get(addr, 0) for addr in touched
+            }, op
+            assert mem.touched_words() == len(reference), op
+            assert mem.epoch == epoch, op
 
 
 class TestFrameAllocator:

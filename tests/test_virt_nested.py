@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import AccessFault, AlignmentError, GuestPageFault, PageFault
+from repro.common.errors import AccessFault, AlignmentError, GuestPageFault, MemoryError_, PageFault
 from repro.common.params import rocket
 from repro.common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, Permission
 from repro.paging.pagetable import pte_encode
@@ -75,6 +75,18 @@ class TestGuestMemoryView:
             view.fill(0x800, 12)
         with pytest.raises(GuestPageFault):
             view.fill(0x800, PAGE_SIZE)  # runs into unbacked GPA page 1
+        assert self._words(memory, frame) == [self.PATTERN] * 512
+
+    @pytest.mark.parametrize("gpa", [0x800, 0x5000])  # backed, unbacked
+    def test_negative_fill_length_rejected_before_any_write(self, gpa):
+        memory, view, (frame,) = self._patterned_frames(1)
+        view.back_page(0x0, frame)
+        epoch = view.epoch
+        with pytest.raises(MemoryError_):
+            view.fill(gpa, -64, 0)
+        with pytest.raises(MemoryError_):
+            view.fill(gpa, -64, self.PATTERN ^ 1)
+        assert view.epoch == epoch
         assert self._words(memory, frame) == [self.PATTERN] * 512
 
     def test_remap_of_guest_pt_page_is_seen_by_the_walk_memo(self):
