@@ -18,10 +18,10 @@ draws on the Mersenne-Twister stream rather than ``expovariate``, so no
 libm transcendental ever enters the digest-bearing path and a trace is
 byte-reproducible across platforms.
 
-Traces slice deterministically (:func:`slice_trace`): a sub-shard
+Traces slice deterministically (:func:`slice_trace`): an epoch
 regenerates the full trace from ``(seed, tenants)`` and takes its
-contiguous chunk, which is how the campaign cells shard a long horizon
-into independently simulable epochs.
+contiguous chunk, which is how the campaign cells split a long horizon
+into epochs that each start on a fresh node.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def slice_trace(specs: Sequence[TenantSpec], slices: int, index: int) -> List[Te
 
     Chunks are balanced (sizes differ by at most one) and partition the
     trace exactly, so running every slice on its own fresh node and folding
-    the results is the sharded view of the same horizon.
+    the results covers the whole horizon.
     """
     if slices <= 0 or not 0 <= index < slices:
         raise WorkloadError(f"bad trace slice {index}/{slices}")

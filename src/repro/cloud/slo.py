@@ -6,9 +6,8 @@ teardown cycles) into its histograms and counts tenants, rejections and
 references beside them.
 
 Accounts snapshot to JSON (:meth:`SLOAccount.snapshot`) and fold back with
-a pure merge (:meth:`SLOAccount.from_snapshots`), which is what lets the
-campaign's sharded slices rebuild the exact rollup the unsharded horizon
-would report.
+a pure merge (:meth:`SLOAccount.from_snapshots`), which is how a cloud
+cell folds its epochs' accounts into one rollup for the whole horizon.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class SLOAccount:
     def classes(self) -> List[str]:
         return sorted(self._groups)
 
-    # -- snapshot / merge (the shard fold) -----------------------------------
+    # -- snapshot / merge (the epoch fold) -----------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """JSON-safe per-class payloads (counters + histogram snapshots)."""

@@ -93,21 +93,7 @@ class Histogram:
         one bucket — early.)  Returns None on an empty histogram.  ``p`` is
         in [0, 100].
         """
-        if not self.count:
-            return None
-        rank = min(self.count, max(1, math.ceil(p / 100.0 * self.count)))
-        seen = 0
-        top = 0
-        for index, n in enumerate(self._buckets):
-            if n:
-                top = index
-            seen += n
-            if seen >= rank:
-                return 0 if index == 0 else (1 << index) - 1
-        # Unreachable while the bucket counts sum to self.count (rank is
-        # clamped to that sum); answer with the highest occupied bucket's
-        # upper bound rather than a label no bucket has.
-        return 0 if top == 0 else (1 << top) - 1
+        return self.percentiles(p)[0]
 
     def percentiles(self, *ps: float) -> List[Optional[int]]:
         """Bucket upper bounds for several percentiles in one bucket walk.
@@ -144,7 +130,10 @@ class Histogram:
                 pending += 1
             if pending == len(order):
                 return results
-        for slot in order[pending:]:  # same fallback as percentile()
+        # Unreachable while the bucket counts sum to self.count (every rank
+        # is clamped to that sum); answer with the highest occupied bucket's
+        # upper bound rather than a label no bucket has.
+        for slot in order[pending:]:
             results[slot] = 0 if top == 0 else (1 << top) - 1
         return results
 

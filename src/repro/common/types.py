@@ -118,8 +118,9 @@ class MemRegion:
         return self.base + self.size
 
     def contains(self, addr: int, length: int = 1) -> bool:
-        """Return True if ``[addr, addr+length)`` lies entirely inside."""
-        return self.base <= addr and addr + length <= self.end
+        """Return True if ``[addr, addr+length)`` lies entirely inside; a
+        negative *length* names no range and is never contained."""
+        return self.base <= addr and length >= 0 and addr + length <= self.end
 
     def overlaps(self, other: "MemRegion") -> bool:
         """Return True if the two regions share at least one byte."""

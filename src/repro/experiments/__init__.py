@@ -44,23 +44,11 @@ class Shard(NamedTuple):
     returns ``list[dict]`` rows; ``kwargs`` must stay JSON-safe (they are
     hashed into the cell's results-store key and shipped to worker
     processes).
-
-    A heavy cell may additionally declare an *intra-cell* sharding plan —
-    ``partition`` and ``merge`` name callables on the same module (see
-    :mod:`repro.runner.shard`): ``partition(**kwargs)`` splits the cell's
-    workload stream into independently simulable ``(name, func, kwargs)``
-    sub-shards (each building its own systems and seeded RNGs), and
-    ``merge(parts, **kwargs)`` purely folds the sub-shard row lists back
-    into **exactly** the rows ``func`` emits unsharded — byte-identical
-    canonical JSON is the contract, held by ``tests/test_subshard.py``.
-    Both must be set for a cell to shard; quick cells leave them empty.
     """
 
     name: str
     func: str
     kwargs: Dict[str, object]
-    partition: str = ""
-    merge: str = ""
 
 
 ALL_EXPERIMENTS = {
@@ -95,28 +83,16 @@ SHARDS: Dict[str, Tuple[Shard, ...]] = {
         for op in ("ld", "sd")
     ),
     "fig11": (
-        Shard("rv8-rocket", "run_rv8", {"machine": "rocket"}, partition="partition_rv8", merge="concat_rows"),
-        Shard("gap-rocket", "run_gap", {"machine": "rocket", "scale": 12}, partition="partition_gap", merge="concat_rows"),
-        Shard("gap-boom", "run_gap", {"machine": "boom", "scale": 12}, partition="partition_gap", merge="concat_rows"),
+        Shard("rv8-rocket", "run_rv8", {"machine": "rocket"}),
+        Shard("gap-rocket", "run_gap", {"machine": "rocket", "scale": 12}),
+        Shard("gap-boom", "run_gap", {"machine": "boom", "scale": 12}),
     ),
     "fig12": (
-        Shard(
-            "functionbench-rocket",
-            "run_functionbench_rows",
-            {"machine": "rocket"},
-            partition="partition_functionbench",
-            merge="concat_rows",
-        ),
-        Shard(
-            "functionbench-boom",
-            "run_functionbench_rows",
-            {"machine": "boom"},
-            partition="partition_functionbench",
-            merge="concat_rows",
-        ),
-        Shard("image-chain", "run_chain_rows", {"machine": "boom"}, partition="partition_chain", merge="concat_rows"),
-        Shard("redis-rocket", "run_redis_rows", {"machine": "rocket"}, partition="partition_redis", merge="merge_redis_rows"),
-        Shard("redis-boom", "run_redis_rows", {"machine": "boom"}, partition="partition_redis", merge="merge_redis_rows"),
+        Shard("functionbench-rocket", "run_functionbench_rows", {"machine": "rocket"}),
+        Shard("functionbench-boom", "run_functionbench_rows", {"machine": "boom"}),
+        Shard("image-chain", "run_chain_rows", {"machine": "boom"}),
+        Shard("redis-rocket", "run_redis_rows", {"machine": "rocket"}),
+        Shard("redis-boom", "run_redis_rows", {"machine": "boom"}),
     ),
     "fig13": (
         Shard("latency", "run", {"machine": "rocket"}),
@@ -138,9 +114,7 @@ SHARDS: Dict[str, Tuple[Shard, ...]] = {
         Shard("stat-fstat-open", "run", {"syscalls": ["stat", "fstat", "open/close"]}),
         Shard("pipe-fork-exec", "run", {"syscalls": ["pipe", "fork+exit", "fork+exec"]}),
     ),
-    "scalability": (
-        Shard("consolidation", "run", {}, partition="partition_consolidation", merge="merge_consolidation"),
-    ),
+    "scalability": (Shard("consolidation", "run", {}),),
     "summary": (Shard("claims", "run", {}),),
     "table4": (Shard("hw-cost", "run", {}),),
     "smp": (
@@ -154,32 +128,24 @@ SHARDS: Dict[str, Tuple[Shard, ...]] = {
             "run_cloud",
             {"scheme": "pmpt", "profile": "poisson", "tenants": 1024, "slices": 8, "seed": 7,
              "machine": "rocket", "mem_mib": 64, "frag_every": 64},
-            partition="partition_cloud",
-            merge="merge_cloud",
         ),
         Shard(
             "churn-hpmp",
             "run_cloud",
             {"scheme": "hpmp", "profile": "poisson", "tenants": 1024, "slices": 8, "seed": 7,
              "machine": "rocket", "mem_mib": 64, "frag_every": 64},
-            partition="partition_cloud",
-            merge="merge_cloud",
         ),
         Shard(
             "frag-horizon",
             "run_cloud",
             {"scheme": "pmpt", "profile": "frag", "tenants": 1024, "slices": 8, "seed": 11,
              "machine": "rocket", "mem_mib": 64, "frag_every": 32},
-            partition="partition_cloud",
-            merge="merge_cloud",
         ),
         Shard(
             "tenant-mix-adversarial",
             "run_cloud",
             {"scheme": "hpmp", "profile": "adversarial", "tenants": 1024, "slices": 8, "seed": 13,
              "machine": "rocket", "mem_mib": 64, "frag_every": 64},
-            partition="partition_cloud",
-            merge="merge_cloud",
         ),
     ),
     "ablations": (

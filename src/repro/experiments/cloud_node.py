@@ -15,22 +15,20 @@ Four campaign cells:
 * ``cloud/tenant-mix-adversarial`` — pins + elephants + relabel-churning
   revokers against the hpmp segment pool.
 
-Sharding: the horizon splits into contiguous trace *epochs*
-(:func:`repro.cloud.slice_trace`), each simulated on its own fresh node —
-the sub-shards are embarrassingly parallel and :func:`merge_cloud` folds
-their rows back purely (SLO histograms merge via
-:meth:`~repro.cloud.SLOAccount.from_snapshots`; counters sum; pressure
-gauges take min/max).  ``run_cloud`` *is* that same fold over inline slice
-results, so sharded and unsharded canonical row JSON is byte-identical by
-construction.
+Epochs: the horizon splits into contiguous trace *epochs*
+(:func:`repro.cloud.slice_trace`), each simulated on its own fresh node,
+and :func:`run_cloud` folds their rows with :func:`merge_cloud` (SLO
+histograms merge via :meth:`~repro.cloud.SLOAccount.from_snapshots`;
+counters sum; pressure gauges take min/max).  The epochs are part of the
+cell's design, since every epoch starts from an empty node and the rows
+measure exactly that.  They are not a scheduling unit: a cell runs its
+epochs one after another as one task.
 
-Serialization note (load-bearing): sub-shard rows round-trip through the
-results store, whose ``rows_to_jsonable`` stringifies any non-scalar value
-with ``str()``.  Slice rows therefore carry every nested payload (SLO
-snapshots, fragmentation dicts, event counters) as *canonical JSON
-strings* — identical whether the merge sees live rows (unsharded) or
-store-round-tripped rows (pooled), which is what keeps the parity contract
-byte-exact.
+Serialization note (load-bearing): epoch rows carry every nested payload
+(SLO snapshots, fragmentation dicts, event counters) as *canonical JSON
+strings*, and the cell's rows keep them in that form.  The strings are part
+of the committed row digests, so changing their encoding moves every
+cloud digest.
 """
 
 from __future__ import annotations
@@ -104,8 +102,8 @@ def run_cloud_slice(
     """Simulate one trace epoch on a fresh node; returns its single row.
 
     The full trace is regenerated from ``(profile, tenants, seed)`` and the
-    epoch is its ``slice_index``-th contiguous chunk, so a sub-shard needs
-    no data from its siblings — only the cell kwargs it already has.
+    epoch is its ``slice_index``-th contiguous chunk, so an epoch needs no
+    state from the epochs before it, only the cell kwargs.
     """
     specs = slice_trace(_trace(profile, tenants, seed), slices, slice_index)
     node = CloudNode(scheme=scheme, machine=machine, mem_mib=mem_mib, seed=seed, frag_every=frag_every)
@@ -143,8 +141,8 @@ def merge_cloud(parts: Sequence[List[Dict[str, object]]], **kwargs: object) -> L
     Emits the epoch rows (sorted by slice), one ``kind="class"`` SLO rollup
     row per tenant class, and one ``kind="node"`` row with the
     horizon-level counters the benchmark summary surfaces (peak tenants,
-    final fragmentation).  Reads only *parts* and the cell kwargs —
-    simulates nothing — per the intra-cell sharding contract.
+    final fragmentation).  Reads only *parts* and the cell kwargs and
+    simulates nothing.
     """
     epochs = sorted((dict(row) for part in parts for row in part), key=lambda r: int(r["slice"]))
     if not epochs:
@@ -200,12 +198,8 @@ def run_cloud(
     mem_mib: int = 64,
     frag_every: int = 64,
 ) -> List[Dict[str, object]]:
-    """The full horizon: every epoch in sequence, folded by the same merge.
-
-    Defined *as* :func:`merge_cloud` over the inline epoch results, so the
-    unsharded cell and the pooled sub-shards share one code path and their
-    canonical row JSON matches byte-for-byte.
-    """
+    """The full horizon: every epoch in turn on a fresh node, folded by
+    :func:`merge_cloud`."""
     kwargs = dict(
         scheme=scheme,
         profile=profile,
@@ -218,15 +212,6 @@ def run_cloud(
     )
     parts = [run_cloud_slice(slice_index=index, **kwargs) for index in range(slices)]
     return merge_cloud(parts, **kwargs)
-
-
-def partition_cloud(**kwargs: object):
-    """Intra-cell sharding plan: one sub-shard per trace epoch."""
-    slices = int(kwargs.get("slices", 8))  # type: ignore[arg-type]
-    return [
-        (f"slice{index}", "run_cloud_slice", {**kwargs, "slice_index": index})
-        for index in range(slices)
-    ]
 
 
 def render(rows_by_cell: RowsByCell) -> List[Table]:

@@ -7,7 +7,7 @@ from typing import Dict, List
 from ..common.params import machine_params
 from ..workloads.gap import KERNELS, run_kernel
 from ..workloads.rv8 import PROGRAMS, run_program
-from .report import RowsByCell, Table, concat_rows, every, format_table  # noqa: F401  (concat_rows: sub-shard merge, resolved by name)
+from .report import RowsByCell, Table, every, format_table
 
 KINDS = ("pmp", "pmpt", "hpmp")
 
@@ -41,31 +41,6 @@ def run_gap(machine: str = "rocket", scale: int = 12, kernels=KERNELS) -> List[D
             }
         )
     return rows
-
-
-def partition_rv8(machine: str = "rocket", scale: float = 1.0, programs=PROGRAMS):
-    """Intra-cell sharding plan for :func:`run_rv8`: one sub-shard per
-    program.  Each :func:`~repro.workloads.rv8.run_program` call builds its
-    own ``System`` per scheme with its own seeded RNG, so the per-program
-    row is independent of every other program — the merge is a plain
-    concatenation in program order (:func:`~repro.experiments.report.concat_rows`)."""
-    return [
-        (program, "run_rv8", {"machine": machine, "scale": scale, "programs": [program]})
-        for program in programs
-    ]
-
-
-def partition_gap(machine: str = "rocket", scale: int = 12, kernels=KERNELS):
-    """Intra-cell sharding plan for :func:`run_gap`: one sub-shard per GAP
-    kernel.  Each kernel × scheme run constructs a fresh ``System`` and
-    takes the same immutable graph (:func:`~repro.workloads.gap.kron_graph`,
-    built once per process from the same seed), so every sub-shard
-    simulates exactly the slice the unsharded cell would; rows merge by
-    concatenation in kernel order."""
-    return [
-        (kernel, "run_gap", {"machine": machine, "scale": scale, "kernels": [kernel]})
-        for kernel in kernels
-    ]
 
 
 def render(rows_by_cell: RowsByCell) -> List[Table]:

@@ -8,7 +8,7 @@ from ..common.params import machine_params
 from ..workloads.functionbench import FUNCTIONS, run_function
 from ..workloads.redis import COMMANDS, RedisResult, run_redis_benchmark
 from ..workloads.serverless_chain import IMAGE_SIZES, run_chain
-from .report import Claim, RowsByCell, Table, concat_rows, every, format_table  # noqa: F401  (concat_rows: sub-shard merge, resolved by name)
+from .report import Claim, RowsByCell, Table, every, format_table
 
 KINDS = ("pmp", "pmpt", "hpmp")
 
@@ -51,37 +51,12 @@ def run_chain_rows(machine: str = "boom", sizes=IMAGE_SIZES) -> List[Dict[str, o
     return rows
 
 
-def _redis_rows_from_results(
-    results: Dict[str, Dict[str, RedisResult]], machine: str, commands
-) -> List[Dict[str, object]]:
-    """Normalized-RPS rows from per-command, per-scheme results.
-
-    Shared by the unsharded path and the sub-shard merge so both perform the
-    exact same float arithmetic — byte-identical rows either way."""
-    freq = machine_params(machine).freq_mhz
-    rows = []
-    for command in commands:
-        base_rps = results[command]["pmp"].rps(freq)
-        rows.append(
-            {
-                "command": command,
-                "pmp_rps": round(base_rps),
-                "pmp": 100.0,
-                "pmpt": 100.0 * results[command]["pmpt"].rps(freq) / base_rps,
-                "hpmp": 100.0 * results[command]["hpmp"].rps(freq) / base_rps,
-            }
-        )
-    return rows
-
-
 def run_redis_rows(
     machine: str = "rocket", commands=COMMANDS, requests: int = 50, num_keys: int = 32768
 ) -> List[Dict[str, object]]:
     """Normalized RPS (%) per command; Penglai-PMP = 100 (higher is better)."""
-    results = run_redis_benchmark(
-        machine=machine, kinds=KINDS, commands=commands, requests=requests, num_keys=num_keys
-    )
-    return _redis_rows_from_results(results, machine, commands)
+    parts = [run_redis_kind_rows(machine, kind, commands, requests, num_keys) for kind in KINDS]
+    return merge_redis_rows(parts, machine, commands)
 
 
 def run_redis_kind_rows(
@@ -91,15 +66,12 @@ def run_redis_kind_rows(
     requests: int = 50,
     num_keys: int = 32768,
 ) -> List[Dict[str, object]]:
-    """One isolation scheme's slice of the redis benchmark, as raw rows.
+    """One isolation scheme's server and request stream: mean request
+    cycles per command, as raw rows for :func:`merge_redis_rows`.
 
-    The redis cells reuse one long-running server per scheme across every
-    command (client groups share the server's heap/RNG stream, so the
-    *scheme-server* is the cell's finest independently simulable unit —
-    see ``run_redis_benchmark``).  This runs exactly that slice: the same
-    server build and the same per-command request stream the unsharded cell
-    performs for *kind*, emitting mean request cycles for the merge step to
-    normalize."""
+    One long-running server per scheme serves every command (see
+    ``run_redis_benchmark``), so a scheme is the unit a redis cell
+    simulates, one after another."""
     results = run_redis_benchmark(
         machine=machine, kinds=(kind,), commands=tuple(commands), requests=requests, num_keys=num_keys
     )
@@ -114,66 +86,32 @@ def run_redis_kind_rows(
     ]
 
 
-def partition_redis(machine: str = "rocket", commands=COMMANDS, requests: int = 50, num_keys: int = 32768):
-    """Intra-cell sharding plan for :func:`run_redis_rows`: one sub-shard
-    per isolation scheme (its server and request stream are independent of
-    the other schemes')."""
-    return [
-        (
-            kind,
-            "run_redis_kind_rows",
-            {
-                "machine": machine,
-                "kind": kind,
-                "commands": list(commands),
-                "requests": requests,
-                "num_keys": num_keys,
-            },
-        )
-        for kind in KINDS
-    ]
-
-
 def merge_redis_rows(
     parts, machine: str = "rocket", commands=COMMANDS, requests: int = 50, num_keys: int = 32768
 ) -> List[Dict[str, object]]:
-    """Fold per-scheme sub-shard rows back into :func:`run_redis_rows` rows.
-
-    Rebuilds the ``results`` mapping from the sub-shards' mean cycles (floats
-    round-trip JSON exactly) and runs the same normalization arithmetic as
-    the unsharded path — byte-identical rows by construction."""
+    """Fold per-scheme rows (:func:`run_redis_kind_rows`) into normalized-RPS
+    rows, one per command.  It takes the cell's kwargs, but only *machine*
+    and *commands* shape the fold."""
     results: Dict[str, Dict[str, RedisResult]] = {command: {} for command in commands}
     for part in parts:
         for row in part:
             results[str(row["command"])][str(row["kind"])] = RedisResult(
                 str(row["command"]), str(row["kind"]), float(row["mean_cycles"]), int(row["requests"])
             )
-    return _redis_rows_from_results(results, machine, commands)
-
-
-def partition_functionbench(machine: str = "boom", include_host: bool = True, functions=FUNCTIONS):
-    """Intra-cell sharding plan for :func:`run_functionbench_rows`: one
-    sub-shard per function (every :func:`~repro.workloads.functionbench.run_function`
-    invocation cold-starts its own node, so per-function rows are
-    independent); merge by concatenation in function order."""
-    return [
-        (
-            function,
-            "run_functionbench_rows",
-            {"machine": machine, "include_host": include_host, "functions": [function]},
+    freq = machine_params(machine).freq_mhz
+    rows = []
+    for command in commands:
+        base_rps = results[command]["pmp"].rps(freq)
+        rows.append(
+            {
+                "command": command,
+                "pmp_rps": round(base_rps),
+                "pmp": 100.0,
+                "pmpt": 100.0 * results[command]["pmpt"].rps(freq) / base_rps,
+                "hpmp": 100.0 * results[command]["hpmp"].rps(freq) / base_rps,
+            }
         )
-        for function in functions
-    ]
-
-
-def partition_chain(machine: str = "boom", sizes=IMAGE_SIZES):
-    """Intra-cell sharding plan for :func:`run_chain_rows`: one sub-shard
-    per image size (each :func:`~repro.workloads.serverless_chain.run_chain`
-    builds a fresh node and RNG); merge by concatenation in size order."""
-    return [
-        (str(size), "run_chain_rows", {"machine": machine, "sizes": [size]})
-        for size in sizes
-    ]
+    return rows
 
 
 def _avg(rows: List[Dict[str, object]], key: str) -> float:

@@ -80,20 +80,6 @@ def normalize(rows: List[Dict[str, object]], value_keys: Sequence[str], baseline
     return out
 
 
-def concat_rows(parts: Sequence[List[Dict[str, object]]], **_kwargs: object) -> List[Dict[str, object]]:
-    """Sub-shard merge for cells whose units are row-disjoint: the per-unit
-    row lists concatenated in partition order.
-
-    This is the merge half of the intra-cell sharding contract
-    (:mod:`repro.runner.shard`) for every cell that iterates independent
-    simulations and emits one row (or row group) per unit — GAP kernels,
-    RV8 programs, FunctionBench functions, image-chain sizes.  Experiment
-    modules re-import it so a :class:`~repro.experiments.Shard` declaration
-    can name it directly.
-    """
-    return [row for part in parts for row in part]
-
-
 def _plain(value: object) -> Union[int, float, str, bool, None]:
     """Coerce a cell to a JSON-safe scalar."""
     if isinstance(value, (int, float, str, bool)) or value is None:

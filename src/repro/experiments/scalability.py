@@ -53,63 +53,16 @@ def _node_throughput(scheme: str, num_domains: int, quanta_each: int = 4) -> Dic
     }
 
 
-def _overhead_value(scheme: str, count: int) -> object:
-    """One (scheme × domain-count) point: the switch-overhead %% value, or
-    the failure status string once PMP runs out of entries.  Shared by the
-    unsharded row loop and the sub-shard slices, so both simulate and format
-    the point identically."""
-    outcome = _node_throughput(scheme, count)
-    if outcome.get("status") != "ok":
-        return outcome["status"]
-    return outcome["switch_overhead_%"]
-
-
 def run(domain_counts=(2, 8, 24, 64)) -> List[Dict[str, object]]:
+    """Switch overhead % per (domain count × scheme), or the failure status
+    once PMP runs out of entries."""
     rows = []
     for count in domain_counts:
         row: Dict[str, object] = {"domains": count}
         for scheme in SCHEMES:
-            row[f"{scheme}_overhead_%"] = _overhead_value(scheme, count)
-        rows.append(row)
-    return rows
-
-
-def run_scheme_points(domain_counts=(2, 8, 24, 64), schemes=SCHEMES) -> List[Dict[str, object]]:
-    """Raw (domain-count × scheme) points, one row each.
-
-    The sub-shard slice of :func:`run`: every point builds its own fresh
-    ``System``/monitor/scheduler, so any subset simulates exactly what the
-    full sweep would for those points."""
-    return [
-        {"domains": count, "scheme": scheme, "overhead_%": _overhead_value(scheme, count)}
-        for count in domain_counts
-        for scheme in schemes
-    ]
-
-
-def partition_consolidation(domain_counts=(2, 8, 24, 64)):
-    """Intra-cell sharding plan for :func:`run`: one sub-shard per
-    (domain-count × scheme) point — 12 independently simulable slices for
-    the default sweep, so the cell's critical path shrinks to its single
-    heaviest point."""
-    return [
-        (f"d{count}-{scheme}", "run_scheme_points", {"domain_counts": [count], "schemes": [scheme]})
-        for count in domain_counts
-        for scheme in SCHEMES
-    ]
-
-
-def merge_consolidation(parts, domain_counts=(2, 8, 24, 64)) -> List[Dict[str, object]]:
-    """Fold per-point sub-shard rows back into :func:`run`'s row shape."""
-    points: Dict[object, Dict[str, object]] = {}
-    for part in parts:
-        for row in part:
-            points[(row["domains"], row["scheme"])] = row["overhead_%"]
-    rows = []
-    for count in domain_counts:
-        row: Dict[str, object] = {"domains": count}
-        for scheme in SCHEMES:
-            row[f"{scheme}_overhead_%"] = points[(count, scheme)]
+            outcome = _node_throughput(scheme, count)
+            ok = outcome["status"] == "ok"
+            row[f"{scheme}_overhead_%"] = outcome["switch_overhead_%"] if ok else outcome["status"]
         rows.append(row)
     return rows
 

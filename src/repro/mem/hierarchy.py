@@ -128,25 +128,6 @@ class MemoryHierarchy:
             i += n
         return total
 
-    def mru_run(self, count: int, instruction: bool = False) -> int:
-        """Charge *count* follow-on hits to the line the last reference made MRU.
-
-        Caller contract: the immediately preceding :meth:`access` on this
-        side (L1I for instruction, L1D otherwise) touched the line every one
-        of these *count* references lands on, so the line sits at MRU in that
-        L1.  Each reference is then exactly the scalar hit it would have
-        been — one hierarchy ref, one L1 hit, one L1 hit latency, zero
-        mutation — charged without re-probing the hierarchy.
-        """
-        if count <= 0:
-            return 0
-        self._refs += count
-        if instruction:
-            self.l1i.mru_hits(count)
-            return count * self._l1i_lat
-        self.l1d.mru_hits(count)
-        return count * self._l1d_lat
-
     def peek_latency(self, paddr: int, instruction: bool = False) -> int:
         """Latency ``access`` would charge, without changing any state.
 

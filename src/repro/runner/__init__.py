@@ -23,7 +23,6 @@ from .manifest import (
 )
 from .pool import CampaignPool, available_cpus, default_jobs
 from .regress import Drift, compare_manifests, gate
-from .shard import SUBSHARD_SEP, expand, merge_rows, shard_plan
 from .store import DEFAULT_STORE_DIR, ResultStore, code_version
 from .tasks import TELEMETRY_LEVELS, TaskSpec, campaign_tasks, execute
 
@@ -39,7 +38,6 @@ __all__ = [
     "STATUS_ERROR",
     "STATUS_OK",
     "STATUS_TIMEOUT",
-    "SUBSHARD_SEP",
     "TELEMETRY_LEVELS",
     "TaskSpec",
     "available_cpus",
@@ -48,8 +46,5 @@ __all__ = [
     "compare_manifests",
     "default_jobs",
     "execute",
-    "expand",
     "gate",
-    "merge_rows",
-    "shard_plan",
 ]

@@ -59,15 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         "existing counters (zero hot-path cost, default), full = per-reference "
         "histograms via an engine hook (slower)",
     )
-    parser.add_argument(
-        "--shard-cells",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="split heavy cells into independently scheduled sub-shards with a "
-        "pure merge step (rows stay byte-identical to the unsharded cell): "
-        "auto = shard exactly when more than one worker is available "
-        "(default), on/off = force",
-    )
     parser.add_argument("--store", default=DEFAULT_STORE_DIR, metavar="DIR", help=f"results store directory (default {DEFAULT_STORE_DIR})")
     parser.add_argument("--manifest", default=DEFAULT_MANIFEST, metavar="PATH", help=f"where to write the run manifest (default {DEFAULT_MANIFEST})")
     parser.add_argument("--summary", default=DEFAULT_SUMMARY, metavar="PATH", help=f"where to write the campaign summary (default {DEFAULT_SUMMARY})")
@@ -181,12 +172,6 @@ def bench_summary(manifest: RunManifest, store: ResultStore, generated_unix: Opt
             for c in manifest.cells
             if c.wall_s > 0 and c.telemetry.get("hierarchy.refs")
         },
-        "shard_cells": manifest.shard_cells,
-        # Cells that ran as sub-shard assemblies this campaign, with their
-        # sub-shard counts.  Their wall_s above is the *sequential
-        # equivalent* (sum of sub-shard walls); the scheduling win shows up
-        # in the campaign wall_s instead.
-        "subsharded_cells": {c.task_id: c.subshards for c in manifest.cells if c.subshards},
         "failed_cells": [c.task_id for c in manifest.failed],
         "cell_scale": _cell_scale(store, manifest),
         "headline": _headline(store, manifest),
@@ -220,7 +205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         label=args.label,
         progress=_progress,
         telemetry=args.telemetry,
-        shard_cells={"auto": None, "on": True, "off": False}[args.shard_cells],
     )
     if pool.effective_jobs < pool.jobs:
         print(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 #: Cell states.  ``ok`` ran fresh this campaign; ``cached`` was satisfied by
 #: the results store under ``--resume``; everything else is a failure mode
@@ -42,10 +42,6 @@ class CellRecord:
     rows_sha256: str = ""
     error: Optional[str] = None
     telemetry: Dict[str, int] = field(default_factory=dict)  # engine counters
-    #: Number of intra-cell sub-shards this cell was split into (0 = ran
-    #: whole).  A nonzero count goes with ``worker="merge"``: the record is
-    #: the synthesis of that many sub-shard tasks.
-    subshards: int = 0
 
     @property
     def failed(self) -> bool:
@@ -65,8 +61,6 @@ class CellRecord:
             "rows_sha256": self.rows_sha256,
             "telemetry": dict(self.telemetry),
         }
-        if self.subshards:
-            out["subshards"] = self.subshards
         if self.error:
             out["error"] = self.error
         return out
@@ -86,7 +80,6 @@ class CellRecord:
             rows_sha256=str(data.get("rows_sha256", "")),
             error=str(data["error"]) if data.get("error") else None,
             telemetry={str(k): int(v) for k, v in dict(data.get("telemetry", {})).items()},  # type: ignore[arg-type]
-            subshards=int(data.get("subshards", 0)),  # type: ignore[arg-type]
         )
 
 
@@ -99,7 +92,6 @@ class RunManifest:
     jobs: int = 1  # requested worker count
     effective_jobs: int = 1  # after clamping to available CPUs
     telemetry: str = "light"  # per-cell engine telemetry level
-    shard_cells: bool = False  # heavy cells expanded into sub-shard tasks
     filters: List[str] = field(default_factory=list)
     resume: bool = False
     timeout_s: float = 0.0
@@ -145,7 +137,6 @@ class RunManifest:
             "jobs": self.jobs,
             "effective_jobs": self.effective_jobs,
             "telemetry": self.telemetry,
-            "shard_cells": self.shard_cells,
             "filters": list(self.filters),
             "resume": self.resume,
             "timeout_s": self.timeout_s,
@@ -169,7 +160,6 @@ class RunManifest:
             jobs=int(data.get("jobs", 1)),
             effective_jobs=int(data.get("effective_jobs", data.get("jobs", 1))),
             telemetry=str(data.get("telemetry", "light")),
-            shard_cells=bool(data.get("shard_cells", False)),
             filters=[str(f) for f in data.get("filters", [])],  # type: ignore[union-attr]
             resume=bool(data.get("resume", False)),
             timeout_s=float(data.get("timeout_s", 0.0)),

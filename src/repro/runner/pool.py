@@ -3,10 +3,10 @@
 Design points, mirroring how FireSim-style artifact campaigns batch
 independent simulations:
 
-* **One process per cell.**  Each task runs in its own worker
-  (``fork`` where available, ``spawn`` otherwise) talking back over a
-  dedicated pipe, so a wedged or crashed cell can be terminated without
-  corrupting a shared queue.
+* **One task per cell.**  Each campaign cell is one task at every
+  ``jobs`` and runs in its own worker process (``fork`` where available,
+  ``spawn`` otherwise), talking back over a dedicated pipe, so a wedged or
+  crashed cell can be terminated without corrupting a shared queue.
 * **Per-task timeouts and bounded retries.**  A cell that exceeds
   ``timeout_s`` is terminated and rescheduled up to ``retries`` extra
   attempts; a cell that keeps failing is recorded as ``timeout`` /
@@ -22,15 +22,6 @@ independent simulations:
   workers than cores only adds scheduler thrash; requested ``jobs`` are
   clamped to :func:`available_cpus` (both values land in the manifest as
   ``jobs`` / ``effective_jobs``).
-* **Intra-cell sharding.**  When parallelism is available
-  (``shard_cells`` resolves on, the default at ``effective_jobs > 1``),
-  cells that declare a partition (:mod:`repro.runner.shard`) are expanded
-  into sub-shard tasks scheduled like any other — own store keys, own
-  timeouts/retries, own ``--resume`` cache lines — and a pure merge step
-  in the parent process folds the sub-shard rows and telemetry back into
-  the cell's record and store entry.  The merge output is byte-identical
-  to the unsharded cell, so the manifest keeps exactly one record per
-  cell and the regression gate never sees the difference.
 
 ``jobs=1`` runs cells inline in the calling process (no subprocess, and
 therefore no timeout enforcement) — handy under pytest and for debugging a
@@ -41,13 +32,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
 import time
 import traceback
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..common.stats import StatGroup
 from .manifest import (
     STATUS_CACHED,
     STATUS_CRASHED,
@@ -57,8 +46,6 @@ from .manifest import (
     CellRecord,
     RunManifest,
 )
-from .shard import expand as shard_expand
-from .shard import merge_rows
 from .store import ResultStore
 from .tasks import TELEMETRY_LEVELS, TaskSpec, execute
 
@@ -144,7 +131,6 @@ class CampaignPool:
         label: str = "campaign",
         progress: Optional[ProgressFn] = None,
         telemetry: str = "light",
-        shard_cells: Optional[bool] = None,
     ):
         if telemetry not in TELEMETRY_LEVELS:
             raise ValueError(f"telemetry must be one of {TELEMETRY_LEVELS}, got {telemetry!r}")
@@ -159,71 +145,27 @@ class CampaignPool:
         self.label = label
         self.progress = progress
         self.telemetry = telemetry
-        # None = auto: shard heavy cells exactly when there is parallelism
-        # to feed.  ``--jobs 1`` therefore stays the unsharded reference the
-        # determinism gate measures sharded runs against.
-        self.shard_cells = (self.effective_jobs > 1) if shard_cells is None else bool(shard_cells)
 
     # -- public API ----------------------------------------------------------
 
     def run(self, specs: Sequence[TaskSpec], resume: bool = False) -> RunManifest:
-        """Run the campaign; returns the manifest (cells in *specs* order).
-
-        The manifest lists exactly one record per spec regardless of
-        sharding: sub-shard outcomes fold into their cell's record via
-        :meth:`_synthesize` (``worker="merge"``, ``subshards=N``).
-        """
+        """Run the campaign; returns the manifest (cells in *specs* order)."""
         started = time.perf_counter()
         records: Dict[str, CellRecord] = {}
         pending: deque = deque()
-        #: cell task id -> {"spec", "subs" (specs, partition order),
-        #: "records" (sub task id -> CellRecord)}
-        assemblies: Dict[str, Dict[str, object]] = {}
-        sub_owner: Dict[str, str] = {}  # sub task id -> owning cell task id
         total = len(specs)
 
         def complete(spec: TaskSpec, record: CellRecord) -> None:
-            """Final (post-retry) outcome of one schedulable task."""
-            owner = sub_owner.get(spec.task_id)
-            if owner is None:
-                records[spec.task_id] = record
-                self._report(record, len(records), total)
-                return
-            assembly = assemblies[owner]
-            assembly["records"][spec.task_id] = record  # type: ignore[index]
+            """Final (post-retry) outcome of one cell."""
+            records[spec.task_id] = record
             self._report(record, len(records), total)
-            if len(assembly["records"]) == len(assembly["subs"]):  # type: ignore[arg-type]
-                cell_record = self._synthesize(assembly)
-                records[owner] = cell_record
-                self._report(cell_record, len(records), total)
 
         for spec in specs:
             cached = self._cached_record(spec) if resume else None
             if cached is not None:
-                records[spec.task_id] = cached
-                self._report(cached, len(records), total)
-                continue
-            subs = self._expand(spec)
-            if subs is None:
+                complete(spec, cached)
+            else:
                 pending.append((spec, 1))
-                continue
-            assembly = {"spec": spec, "subs": subs, "records": {}}
-            assemblies[spec.task_id] = assembly
-            for sub in subs:
-                sub_owner[sub.task_id] = spec.task_id
-                sub_cached = self._cached_record(sub) if resume else None
-                if sub_cached is not None:
-                    assembly["records"][sub.task_id] = sub_cached  # type: ignore[index]
-                    self._report(sub_cached, len(records), total)
-                else:
-                    pending.append((sub, 1))
-            if len(assembly["records"]) == len(subs):  # type: ignore[arg-type]
-                # Every sub-shard was already cached: merge without
-                # scheduling anything (the cell's own entry was missing —
-                # e.g. a previous sharded run was interrupted mid-merge).
-                record = self._synthesize(assembly)
-                records[spec.task_id] = record
-                self._report(record, len(records), total)
 
         if pending:
             if self.jobs == 1:
@@ -231,117 +173,20 @@ class CampaignPool:
             else:
                 self._run_pooled(pending, complete)
 
-        manifest = RunManifest(
+        return RunManifest(
             label=self.label,
             version=self.store.version,
             jobs=self.jobs,
             effective_jobs=self.effective_jobs,
             telemetry=self.telemetry,
-            shard_cells=self.shard_cells,
             resume=resume,
             timeout_s=self.timeout_s,
             retries=self.retries,
             wall_s=time.perf_counter() - started,
             cells=[records[spec.task_id] for spec in specs],
         )
-        return manifest
 
     # -- shared helpers ------------------------------------------------------
-
-    def _expand(self, spec: TaskSpec) -> Optional[List[TaskSpec]]:
-        """Sub-shard specs for *spec*, or None to run the cell whole.
-
-        A broken partition function must not take the cell down with it —
-        the cell still computes fine unsharded — so expansion failures
-        degrade to whole-cell execution with a note on stderr.
-        """
-        if not self.shard_cells:
-            return None
-        try:
-            return shard_expand(spec)
-        except Exception:
-            print(
-                f"runner: intra-cell partition for {spec.task_id} failed; running whole\n"
-                f"{traceback.format_exc()}",
-                file=sys.stderr,
-            )
-            return None
-
-    def _synthesize(self, assembly: Dict[str, object]) -> CellRecord:
-        """Fold one cell's sub-shard outcomes into its cell record.
-
-        Pure and cheap (reads sub payloads, folds rows and telemetry, one
-        store write), so it runs in the parent process.  On success the
-        merged payload is stored under the cell's own key — the same key an
-        unsharded run would use — making cell-level ``--resume`` and the
-        regression gate oblivious to how the rows were produced.
-        """
-        spec: TaskSpec = assembly["spec"]  # type: ignore[assignment]
-        subs: List[TaskSpec] = assembly["subs"]  # type: ignore[assignment]
-        sub_records: Dict[str, CellRecord] = assembly["records"]  # type: ignore[assignment]
-        ordered = [sub_records[sub.task_id] for sub in subs]
-        attempts = max((r.attempts for r in ordered), default=1)
-        wall_s = sum(r.wall_s for r in ordered)
-        failed = [r for r in ordered if r.failed]
-        if failed:
-            detail = ", ".join(f"{r.task_id}: {r.status}" for r in failed)
-            return CellRecord(
-                task_id=spec.task_id,
-                experiment=spec.experiment,
-                shard=spec.shard,
-                status=STATUS_ERROR,
-                attempts=attempts,
-                wall_s=wall_s,
-                worker="merge",
-                error=f"{len(failed)}/{len(ordered)} sub-shards failed ({detail})",
-                subshards=len(ordered),
-            )
-        try:
-            parts: List[List[Dict[str, object]]] = []
-            telemetries: List[Optional[Dict[str, object]]] = []
-            for record in ordered:
-                payload = self.store.get(record.key)
-                if payload is None:
-                    raise LookupError(f"{record.task_id}: store entry {record.key} vanished before merge")
-                parts.append(list(payload.get("rows") or []))
-                telemetries.append(payload.get("telemetry"))  # type: ignore[arg-type]
-            rows = merge_rows(spec, parts)
-            stats: Optional[StatGroup] = None
-            if self.telemetry != "off":
-                stats = StatGroup(spec.task_id)
-                for telemetry in telemetries:
-                    if telemetry:
-                        stats.merge_payload(telemetry)
-            payload = self.store.build_payload(spec, rows, stats)
-            key = self.store.key_for(spec)
-            self.store.put(key, payload)
-        except BaseException:
-            return CellRecord(
-                task_id=spec.task_id,
-                experiment=spec.experiment,
-                shard=spec.shard,
-                status=STATUS_ERROR,
-                attempts=attempts,
-                wall_s=wall_s,
-                worker="merge",
-                error=traceback.format_exc(),
-                subshards=len(ordered),
-            )
-        counters = dict(stats.snapshot()) if stats is not None else {}
-        return CellRecord(
-            task_id=spec.task_id,
-            experiment=spec.experiment,
-            shard=spec.shard,
-            status=STATUS_OK,
-            key=key,
-            attempts=attempts,
-            wall_s=wall_s,
-            worker="merge",
-            rows_n=len(rows),
-            rows_sha256=str(payload["rows_sha256"]),
-            telemetry={str(k): int(v) for k, v in counters.items()},
-            subshards=len(ordered),
-        )
 
     def _cached_record(self, spec: TaskSpec) -> Optional[CellRecord]:
         key = self.store.key_for(spec)

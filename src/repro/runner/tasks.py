@@ -14,7 +14,7 @@ from __future__ import annotations
 import importlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..common.stats import StatGroup
 from ..engine import (
@@ -45,47 +45,32 @@ TELEMETRY_LEVELS = ("off", "light", "full")
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One schedulable unit: a campaign cell, or one sub-shard of a cell.
+    """One schedulable unit: a campaign cell.
 
     Everything here must pickle and JSON-serialize: ``kwargs`` participates
     in the results-store key, and the whole spec crosses the process
-    boundary to workers.
-
-    Naming: ``shard`` is the cell's name within its experiment (the
-    historical axis — ``fig11/gap-boom``); ``subshard`` is the *intra-cell*
-    axis introduced by :mod:`repro.runner.shard` — one independently
-    simulable slice of a single cell's workload stream (one GAP kernel, one
-    redis scheme's server, ...).  An empty ``subshard`` means the spec is a
-    whole cell; the field is deliberately separate so the two granularities
-    never overload one name.
+    boundary to workers.  ``shard`` is the cell's name within its
+    experiment (``fig11/gap-boom`` is experiment ``fig11``, shard
+    ``gap-boom``).
     """
 
-    task_id: str  # "fig11/gap-boom" or "fig11/gap-boom#bfs"
+    task_id: str  # "fig11/gap-boom"
     experiment: str  # registry id, e.g. "fig11"
     shard: str  # shard (cell) name within the experiment
     module: str  # dotted module path holding the row function
     func: str  # attribute on the module returning list[dict] rows
     kwargs: Mapping[str, object] = field(default_factory=dict)
-    subshard: str = ""  # sub-shard name within the cell ("" = whole cell)
 
     def identity(self) -> Dict[str, object]:
         """The JSON-safe fields that define *what* this spec computes
-        (deliberately excluding the task id, which is display-only).
-
-        ``subshard`` enters the identity only when set, so whole-cell store
-        keys are unchanged by its existence while every sub-shard gets its
-        own content address (and therefore its own ``--resume`` cache line).
-        """
-        identity: Dict[str, object] = {
+        (deliberately excluding the task id, which is display-only)."""
+        return {
             "experiment": self.experiment,
             "shard": self.shard,
             "module": self.module,
             "func": self.func,
             "kwargs": dict(self.kwargs),
         }
-        if self.subshard:
-            identity["subshard"] = self.subshard
-        return identity
 
 
 def campaign_tasks(filters: Sequence[str] = ()) -> List[TaskSpec]:
@@ -115,9 +100,9 @@ def campaign_tasks(filters: Sequence[str] = ()) -> List[TaskSpec]:
 
 
 def run_experiment(experiment: str) -> Dict[str, List[Dict[str, object]]]:
-    """Run every cell of *experiment* in-process and whole (no pool, no
-    store, no sub-shards); returns its rows by shard name, in declaration
-    order — what the experiment's ``render`` reads."""
+    """Run every cell of *experiment* in-process (no pool, no store);
+    returns its rows by shard name, in declaration order — what the
+    experiment's ``render`` reads."""
     return {
         spec.shard: execute(spec, telemetry="off")[0]
         for spec in campaign_tasks()
@@ -127,8 +112,8 @@ def run_experiment(experiment: str) -> Dict[str, List[Dict[str, object]]]:
 
 def repro_line(task_id: str, baseline: Optional[str] = None) -> str:
     """The copy-paste command that re-runs one cell (or, for a bare
-    experiment id, its cells) alone, inline and unsharded."""
-    line = f"PYTHONPATH=src python -m repro run --jobs 1 --shard-cells off --filter {task_id}"
+    experiment id, its cells) alone and inline."""
+    line = f"PYTHONPATH=src python -m repro run --jobs 1 --filter {task_id}"
     return f"{line} --baseline {baseline}" if baseline else line
 
 
@@ -257,22 +242,3 @@ def _selftest_crash(message: str = "boom") -> List[Dict[str, object]]:
 def _selftest_sleep(seconds: float = 60.0) -> List[Dict[str, object]]:
     time.sleep(seconds)
     return [{"slept": seconds}]
-
-
-def _selftest_partition(value: int = 1, parts: int = 3, crash_at: Optional[int] = None):
-    """A fake intra-cell partition: *parts* sub-shards, optionally one that
-    crashes — lets the sub-shard scheduler's failure paths run without
-    perturbing real cells."""
-    units = []
-    for i in range(parts):
-        if crash_at is not None and i == crash_at:
-            units.append((f"part{i}", "_selftest_crash", {"message": f"sub boom {i}"}))
-        else:
-            units.append((f"part{i}", "_selftest_rows", {"value": value + i}))
-    return units
-
-
-def _selftest_merge(part_rows, **_kwargs) -> List[Dict[str, object]]:
-    # First positional deliberately not named after any cell kwarg (the
-    # selftest cell's kwargs include "parts", which merge receives too).
-    return [row for part in part_rows for row in part]

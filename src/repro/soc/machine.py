@@ -377,9 +377,10 @@ class Hart:
         else — a TLB miss, L2-only residency, a permission denial (whose
         fault the scalar step raises with exact scalar state), a lone
         reference on a page — is one scalar step, then the run resumes.  A
-        zero-stride run always starts with a scalar step: it leaves the line
-        at MRU in the L1, so the rest of the run is one fused charge through
-        :meth:`~repro.mem.hierarchy.MemoryHierarchy.mru_run`.
+        zero-stride run takes the same branch with every reference left on
+        its page: :meth:`~repro.mem.hierarchy.MemoryHierarchy.access_run`
+        charges its first reference as one hierarchy access and the rest as
+        MRU hits on that line.
 
         This is the only timed run loop.  Of ``self`` it reads only
         ``engine``, ``params``, ``tlb``, ``hierarchy``, the
@@ -411,13 +412,10 @@ class Hart:
                     n = (PAGE_SIZE - (cur & PAGE_MASK) + stride - 1) // stride
                     if n > count - i:
                         n = count - i
-                    # A lone reference is cheaper as a scalar step.
-                    entry = tlb.peek_l1(cur, asid) if n > 1 else None
                 else:
-                    # The first reference takes the scalar step, which leaves
-                    # the line at MRU; the rest are one mru_run.
                     n = count - i
-                    entry = tlb.peek_l1(cur, asid) if i else None
+                # A lone reference is cheaper as a scalar step.
+                entry = tlb.peek_l1(cur, asid) if n > 1 else None
                 if entry is not None and entry.checker_perm is not None:
                     perm = entry.perm
                     checker_perm = entry.checker_perm
@@ -428,12 +426,9 @@ class Hart:
                     else:
                         ok = perm.x and checker_perm.x
                     if ok:
+                        paddr = (entry.ppn << PAGE_SHIFT) | (cur & PAGE_MASK)
                         cyc = tlb.charge_l1_hits(cur, asid, n)
-                        if stride:
-                            paddr = (entry.ppn << PAGE_SHIFT) | (cur & PAGE_MASK)
-                            cyc += self.hierarchy.access_run(paddr, stride, n, is_fetch)
-                        else:
-                            cyc += self.hierarchy.mru_run(n, is_fetch)
+                        cyc += self.hierarchy.access_run(paddr, stride, n, is_fetch)
                         self._s_accesses += n
                         self._s_cycles += cyc
                         total += cyc

@@ -141,12 +141,6 @@ class System:
         Physical memory size in MiB (default 256).
     scatter_data_frames:
         Hand out data frames in shuffled order (fragmented-PA experiments).
-    pt_placement:
-        Where page-table pages live: ``"region"`` (the contiguous PT region
-        — the HPMP OS modification) or ``"pool"`` (the general frame pool,
-        interleaved with data — what an unmodified kernel does).  Defaults
-        to ``"region"`` for the hpmp checker and ``"pool"`` otherwise,
-        matching the paper's Penglai-HPMP vs Penglai-PMP/PMPT systems.
     harts:
         Number of harts in the machine (default 1, the classic single-hart
         system — byte-identical construction).  Secondary harts get private
@@ -164,18 +158,17 @@ class System:
         mem_mib: int = 256,
         scatter_data_frames: bool = False,
         table_mode: int = MODE_2LEVEL,
-        pt_placement: Optional[str] = None,
         pmp_entries: int = 16,
         seed: int = 0,
         harts: int = 1,
     ):
         if checker_kind not in CHECKER_KINDS:
             raise ConfigurationError(f"unknown checker kind {checker_kind!r}")
-        if pt_placement is None:
-            pt_placement = "region" if checker_kind == "hpmp" else "pool"
-        if pt_placement not in ("region", "pool"):
-            raise ConfigurationError(f"unknown pt_placement {pt_placement!r}")
-        self.pt_placement = pt_placement
+        # Where page-table pages live: "region" (the contiguous PT region,
+        # the HPMP OS modification) for the hpmp checker, "pool" (the
+        # general frame pool, interleaved with data, as an unmodified kernel
+        # does) otherwise: the paper's Penglai-HPMP vs Penglai-PMP/PMPT.
+        self.pt_placement = "region" if checker_kind == "hpmp" else "pool"
         self.pmp_entries = pmp_entries
         self.params = machine if isinstance(machine, MachineParams) else machine_params(machine)
         self.checker_kind = checker_kind

@@ -1,6 +1,6 @@
 """Workload models: microbenchmarks, OS operations, suites, applications."""
 
-from .functionbench import FUNCTIONS, FunctionResult, ServerlessNode, run_function, run_functionbench
+from .functionbench import FUNCTIONS, FunctionResult, ServerlessNode, run_function
 from .gap import KERNELS, GAPResult, GAPWorkload, run_kernel
 from .harness import ArrayMap, HeapMap
 from .kernel import KernelModel, Process
@@ -15,8 +15,8 @@ from .microbench import (
     run_fragmentation,
 )
 from .redis import COMMANDS, MiniRedis, RedisResult, build_server, run_command, run_redis_benchmark
-from .rv8 import PROGRAMS, RV8Result, run_program, run_suite
-from .serverless_chain import CHAIN_STAGES, IMAGE_SIZES, ChainResult, run_chain, run_chain_sweep
+from .rv8 import PROGRAMS, RV8Result, run_program
+from .serverless_chain import CHAIN_STAGES, IMAGE_SIZES, ChainResult, run_chain
 
 __all__ = [
     "ArrayMap",
@@ -47,15 +47,12 @@ __all__ = [
     "latency_sweep",
     "measure_latency",
     "run_chain",
-    "run_chain_sweep",
     "run_command",
     "run_fragmentation",
     "run_function",
-    "run_functionbench",
     "run_kernel",
     "run_program",
     "run_redis_benchmark",
-    "run_suite",
     "run_syscall",
     "run_table3",
 ]

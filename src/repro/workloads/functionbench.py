@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..common.errors import WorkloadError
 from ..common.params import MachineParams
@@ -189,20 +189,3 @@ def run_function(
     """One cold invocation on a fresh node (the serverless cold-start case)."""
     node = ServerlessNode(machine=machine, checker_kind=checker_kind, seed=seed)
     return node.invoke(function, secure=secure)
-
-
-def run_functionbench(
-    machine: str = "boom",
-    kinds: Tuple[str, ...] = ("pmp", "pmpt", "hpmp"),
-    include_host_baseline: bool = False,
-) -> Dict[str, Dict[str, FunctionResult]]:
-    """Figure 12 a/b: every function under every isolation scheme."""
-    results: Dict[str, Dict[str, FunctionResult]] = {}
-    for function in FUNCTIONS:
-        row: Dict[str, FunctionResult] = {}
-        if include_host_baseline:
-            row["host-pmp"] = run_function(function, "pmp", machine=machine, secure=False)
-        for kind in kinds:
-            row[kind] = run_function(function, kind, machine=machine, secure=True)
-        results[function] = row
-    return results

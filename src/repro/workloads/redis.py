@@ -269,13 +269,10 @@ def run_redis_benchmark(
     """Figure 12 d/e: every command under every isolation scheme.
 
     One server per checker kind is reused across commands (a long-running
-    store, like the real benchmark).  That reuse is why the *scheme-server*
-    is this benchmark's finest independently simulable unit: command streams
-    against one server share its heap layout and RNG stream, so the redis
-    cells' intra-cell sharding plan (``fig12_apps.partition_redis``)
-    partitions per *kind* — each sub-shard calls this function with a
-    single-element ``kinds`` and replays exactly the server build and
-    request stream the unsharded cell performs for that scheme."""
+    store, like the real benchmark): command streams against one server
+    share its heap layout and RNG stream, while servers of different kinds
+    share nothing.  The fig12 redis cells call this once per kind
+    (``fig12_apps.run_redis_kind_rows``) and fold the kinds' results."""
     results: Dict[str, Dict[str, RedisResult]] = {cmd: {} for cmd in commands}
     for kind in kinds:
         server = build_server(kind, machine=machine, num_keys=num_keys)

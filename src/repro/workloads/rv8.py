@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..common.errors import WorkloadError
 from ..common.types import KIB, MIB
@@ -96,15 +96,3 @@ def run_program(
             arrays.write("data", rng.randrange(elements))
             arrays.compute(profile.compute_per_access)
     return RV8Result(program, checker_kind, arrays.cycles, arrays.accesses)
-
-
-def run_suite(
-    machine: str = "rocket",
-    kinds: Tuple[str, ...] = ("pmp", "pmpt", "hpmp"),
-    scale: float = 1.0,
-) -> Dict[str, Dict[str, RV8Result]]:
-    """Figure 11-a: every program under every isolation scheme."""
-    return {
-        program: {kind: run_program(program, kind, machine=machine, scale=scale) for kind in kinds}
-        for program in PROGRAMS
-    }

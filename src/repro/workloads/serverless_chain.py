@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..common.types import AccessType, PAGE_SIZE
 from ..tee.enclave import ENCLAVE_HEAP_VA
@@ -75,15 +75,3 @@ def run_chain(
         cycles += node.runtime.destroy(handle)
         stage_cycles.append(cycles)
     return ChainResult(image_size, checker_kind, sum(stage_cycles), tuple(stage_cycles))
-
-
-def run_chain_sweep(
-    machine: str = "boom",
-    kinds: Tuple[str, ...] = ("pmp", "pmpt", "hpmp"),
-    sizes: Tuple[int, ...] = IMAGE_SIZES,
-) -> Dict[int, Dict[str, ChainResult]]:
-    """Figure 12-c: the full size sweep under every isolation scheme."""
-    return {
-        size: {kind: run_chain(kind, size, machine=machine) for kind in kinds}
-        for size in sizes
-    }

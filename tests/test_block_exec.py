@@ -120,6 +120,40 @@ class TestAccessRunParity:
             results[mode] = (got, warm, state(system))
         assert results[True] == results[False]
 
+    @pytest.mark.parametrize("access", [AccessType.READ, AccessType.WRITE])
+    @pytest.mark.parametrize("offset", [0, 512])
+    def test_zero_stride_run_on_l1_tlb_hit_fuses_whole(self, offset, access):
+        """A zero-stride run whose first reference hits in the L1 TLB is one
+        fused charge, not a scalar step, and equals the scalar loop:
+        cycles, counters, cache residency and TLB LRU order.  Offset 0
+        re-reads the line the warm-up left in the L1; 512 starts on a cold
+        line."""
+        results = {}
+        for mode in MODES:
+            system = build_system(mode)
+            space = system.new_address_space()
+            space.map(VA, 4 * PAGE_SIZE, Permission.rw())
+            pt, asid = space.page_table, space.asid
+            machine = system.machine
+            for page in (0, 1, 2):
+                machine.access(pt, VA + page * PAGE_SIZE, AccessType.READ, PrivilegeMode.USER, asid)
+            assert machine.tlb.peek_l1(VA, asid).checker_perm is not None
+            steps = []
+            scalar_step = machine._access_core
+
+            def counting_step(*args):
+                steps.append(args[1])
+                return scalar_step(*args)
+
+            machine._access_core = counting_step
+            if mode:
+                got = machine.access_run(pt, VA + offset, 0, 6, access, PrivilegeMode.USER, asid)
+            else:
+                got = scalar_loop(machine, pt, VA + offset, 0, 6, access, asid)
+            assert len(steps) == (0 if mode else 6)
+            results[mode] = (got, state(system), list(machine.tlb._l1))
+        assert results[True] == results[False]
+
     def test_fetch_side_parity(self):
         results = {}
         for mode in MODES:

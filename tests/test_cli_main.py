@@ -143,7 +143,7 @@ class TestRunSubcommand:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert "FAILED self/crash (error): RuntimeError: boom" in err
-        assert "  repro: PYTHONPATH=src python -m repro run --jobs 1 --shard-cells off --filter self/crash\n" in err
+        assert "  repro: PYTHONPATH=src python -m repro run --jobs 1 --filter self/crash\n" in err
 
     def test_run_list_cells(self, capsys):
         assert main(["run", "--list-cells", "--filter", "fig10"]) == 0

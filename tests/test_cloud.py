@@ -4,7 +4,7 @@ The invariants that matter downstream: traces are pure functions of their
 arguments (the campaign digest contract), the node leaks nothing across a
 full admit/run/teardown horizon (the fragmentation-horizon cells would
 otherwise measure the leak, not the allocator), and the SLO snapshot/merge
-round trip is exact (the sharded-fold contract).
+round trip is exact (the epoch-fold contract).
 """
 
 import json
@@ -213,12 +213,15 @@ class TestCloudCells:
         assert sum(r["tenants"] for r in class_rows) == node["lifecycles"]
 
     def test_partition_matches_slices(self):
+        """A cell's epochs are the trace's ``slice_trace`` chunks, in order,
+        each simulated on a fresh node exactly as ``run_cloud_slice`` does."""
         from repro.experiments import cloud_node
 
-        plan = cloud_node.partition_cloud(tenants=24, slices=3, scheme="pmpt")
-        assert [name for name, _f, _k in plan] == ["slice0", "slice1", "slice2"]
-        assert all(func == "run_cloud_slice" for _n, func, _k in plan)
-        assert [k["slice_index"] for _n, _f, k in plan] == [0, 1, 2]
+        kwargs = dict(scheme="pmpt", tenants=24, slices=3, seed=7, frag_every=8)
+        epochs = [r for r in cloud_node.run_cloud(**kwargs) if r["kind"] == "epoch"]
+        trace = poisson_trace(24, 7)
+        assert [r["tenants"] for r in epochs] == [len(slice_trace(trace, 3, i)) for i in range(3)]
+        assert epochs == [cloud_node.run_cloud_slice(slice_index=i, **kwargs)[0] for i in range(3)]
 
 
 class TestCellScaleSummary:

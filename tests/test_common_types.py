@@ -72,6 +72,13 @@ class TestMemRegion:
         assert region.contains(0x1000, 0x1000)
         assert not region.contains(0x1001, 0x1000)
 
+    def test_negative_length_is_never_contained(self):
+        region = MemRegion(0x1000, 0x1000)
+        assert region.contains(0x1800, 0)
+        assert not region.contains(0x1800, -8)
+        assert not region.contains(0x2000, -0x1000)  # would end at base
+        assert not region.contains(0x1000, -1)
+
     def test_overlaps(self):
         a = MemRegion(0, 0x100)
         assert a.overlaps(MemRegion(0x80, 0x100))

@@ -73,11 +73,11 @@ class TestObserveCountMerge:
 
 
 class TestSubShardMergeAlgebra:
-    """Randomized sub-shard partitions: folding per-shard stats back
-    together in *any* order or grouping must equal the unsharded aggregate.
-    This is the algebra the runner's intra-cell synthesis step
-    (``CampaignPool._synthesize``) relies on when it rolls per-sub-shard
-    telemetry payloads into one cell group."""
+    """Randomized partitions: folding per-part stats back together in
+    *any* order or grouping must equal the aggregate of the whole.  This is
+    the algebra a cloud cell relies on when it folds its epochs' SLO
+    histograms into one rollup (``SLOAccount.from_snapshots``), and the
+    campaign summary when it sums every cell's telemetry."""
 
     @staticmethod
     def _observations(rng, n):

@@ -187,6 +187,26 @@ class TestPMPTable:
         with pytest.raises(ConfigurationError):
             table.set_range(table.region.base, 100, Permission.rw())
 
+    def test_negative_range_rejected_before_writing(self, env):
+        table = make_table(env)
+        base = table.region.base + 8 * PAGE_SIZE
+        table.set_range(base, 4 * PAGE_SIZE, Permission.rwx())
+        writes = table.entry_writes
+        with pytest.raises(ConfigurationError):
+            table.set_range(base, -4 * PAGE_SIZE, Permission.rw())
+        assert table.entry_writes == writes
+        assert table.lookup(base - PAGE_SIZE).perm == Permission.none()
+        assert table.lookup(base).perm == Permission.rwx()
+
+    def test_monitor_domain_rejects_negative_range(self):
+        from repro.soc.system import System
+        from repro.tee.monitor import SecureMonitor
+
+        system = System(checker_kind="hpmp", mem_mib=128)
+        domain = SecureMonitor(system).create_domain("d")
+        with pytest.raises(ConfigurationError):
+            domain.table.set_range(system.data_region.base, -4 * PAGE_SIZE, Permission.rw())
+
     def test_region_too_large_rejected(self, env):
         mem, alloc, _ = env
         with pytest.raises(ConfigurationError):

@@ -79,6 +79,12 @@ class TestPhysicalMemory:
         assert mem.read64(BASE) == 5
         assert mem.touched_words() == 1
 
+    def test_negative_length_not_contained(self):
+        mem = PhysicalMemory(1 * MIB, base=BASE)
+        assert mem.contains(BASE, 8)
+        assert not mem.contains(BASE, -8)
+        assert not mem.contains(BASE + PAGE_SIZE, -PAGE_SIZE)
+
     def test_bad_size_rejected(self):
         with pytest.raises(MemoryError_):
             PhysicalMemory(0)

@@ -311,7 +311,7 @@ def test_report_fails_a_violated_claim(cheap_rows, tmp_path, capsys, experiment,
     task = f"{experiment}/{cell}" if cell else experiment
     failures = [line.strip() for line in out.splitlines() if line.strip().startswith("FAIL ")]
     assert len(failures) == 1 and failures[0].startswith(f"FAIL  {task}: {claim}"), failures
-    assert f"repro: PYTHONPATH=src python -m repro run --jobs 1 --shard-cells off --filter {task}\n" in out
+    assert f"repro: PYTHONPATH=src python -m repro run --jobs 1 --filter {task}\n" in out
 
 
 def test_report_writes_tables_and_passes_valid_rows(cheap_rows, tmp_path, capsys):

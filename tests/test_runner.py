@@ -229,6 +229,23 @@ class TestManifest:
         assert loaded["label"] == "old"
         assert "vector" not in loaded and "block" not in loaded
 
+    def test_load_ignores_retired_sharding_fields(self, tmp_path):
+        """Manifests written while the pool could split a cell into
+        sub-shards still load and gate, without the retired fields."""
+        store = ResultStore(tmp_path / "store", version="v")
+        fresh = CampaignPool(store, jobs=1).run([_spec()])
+        data = fresh.to_dict()
+        data["shard_cells"] = True
+        data["cells"][0].update(subshards=3, worker="merge")
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        loaded = RunManifest.load(str(path))
+        assert loaded.cell("self/ok").worker == "merge"
+        dumped = loaded.to_dict()
+        assert "shard_cells" not in dumped and "subshards" not in dumped["cells"][0]
+        lines = []
+        assert gate(str(path), fresh, store, emit=lines.append) == 0, lines
+
     def test_load_rejects_non_manifest(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(json.dumps({"schema": 999}))
@@ -276,6 +293,32 @@ class TestPoolFailureModes:
         cached = second.cell("self/ok")
         assert cached.status == "cached" and cached.worker == "cache"
         assert cached.rows_sha256 == first.cell("self/ok").rows_sha256
+
+
+class TestOneTaskPerCell:
+    def test_pooled_cell_is_one_task_and_one_store_entry(self, tmp_path):
+        """At ``--jobs 2`` a cell is still one worker task: one record from
+        a worker process and one store entry, under the cell's own key."""
+        (base,) = campaign_tasks(["scalability/consolidation"])
+        spec = TaskSpec(base.task_id, base.experiment, base.shard, base.module, base.func, {"domain_counts": [2]})
+        store = ResultStore(tmp_path, version="v")
+        manifest = CampaignPool(store, jobs=2, timeout_s=120.0).run([spec])
+        (cell,) = manifest.cells
+        assert cell.status == STATUS_OK and cell.worker.isdigit()
+        assert cell.key == store.key_for(spec) and len(store) == 1
+
+    def test_bench_summary_has_no_sharding_keys(self, tmp_path):
+        from repro.runner.cli import bench_summary
+
+        store = ResultStore(tmp_path, version="v")
+        manifest = CampaignPool(store, jobs=1).run([_spec()])
+        summary = bench_summary(manifest, store, generated_unix=0.0)
+        assert set(summary) == {
+            "bench", "version", "generated_unix", "jobs", "effective_jobs", "telemetry_level",
+            "wall_s", "cells", "sequential_equivalent_s", "speedup_vs_sequential", "speedup",
+            "cell_wall_s", "cell_refs_per_s", "cell_ns_per_ref", "failed_cells", "cell_scale",
+            "headline", "telemetry",
+        }
 
 
 class TestDeterminismGuard:
@@ -333,7 +376,7 @@ class TestRegressionGate:
         path = baseline.save(str(tmp_path / "baseline.json"))
         lines = []
         assert gate(path, current, store, emit=lines.append) == 1
-        assert lines[-1] == f"  repro: PYTHONPATH=src python -m repro run --jobs 1 --shard-cells off --filter self/ok --baseline {path}"
+        assert lines[-1] == f"  repro: PYTHONPATH=src python -m repro run --jobs 1 --filter self/ok --baseline {path}"
 
     def test_newly_failing_cell_is_drift(self, tmp_path):
         store, baseline = self._run(tmp_path, "a")

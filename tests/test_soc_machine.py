@@ -112,10 +112,6 @@ class TestSystemConstruction:
         with pytest.raises(ConfigurationError):
             System(checker_kind="sgx")
 
-    def test_bad_pt_placement(self):
-        with pytest.raises(ConfigurationError):
-            System(pt_placement="heap")
-
     def test_too_small_memory(self):
         with pytest.raises(ConfigurationError):
             System(mem_mib=16)
