@@ -1,22 +1,24 @@
 """Generic set-associative cache timing model.
 
 The cache tracks which line addresses are resident (tags only — data lives in
-:class:`repro.mem.physical.PhysicalMemory`).  ``probe`` answers hit/miss,
-``insert`` fills a line and returns the victim tag if one was evicted, and
-:func:`lookup_fill_path` fuses the two over a whole L1 → L2 → LLC path for
-the hierarchy's per-reference hot path (``lookup_fill`` is one level of it).
-Replacement is true LRU.
+:class:`repro.mem.physical.PhysicalMemory`).  ``probe`` answers hit/miss and
+``insert`` fills a line and returns the victim tag if one was evicted.  The
+per-reference hot path does not call them: :meth:`MemoryHierarchy.access
+<repro.mem.hierarchy.MemoryHierarchy.access>` fuses probe and insert over a
+whole L1 → L2 → LLC path in one frame.  Replacement is true LRU.
 
 Hot-path engineering (see DESIGN.md "Hot path engineering"): each set is a
 flat Python list of line addresses ordered MRU-first, allocated on the
 set's first fill — for the small associativities real caches use (2–16
 ways), a C-level ``in`` membership scan plus a move-to-front beats an
-``OrderedDict`` probe, and the fused lookup decides hit or miss with one
-such scan per level.  The set layout is private to this module.  No lookup
-raises and catches an exception: a miss into a non-empty set is the common
-case on a TLB miss.  Hit/miss/eviction counts accumulate in plain instance
-ints and are published into the :class:`~repro.common.stats.StatGroup` only
-when somebody reads it.
+``OrderedDict`` probe, and a fused lookup decides hit or miss with one
+such scan per level.  The set layout (``_sets``, ``_set_mask``, ``_ways``,
+``_line_shift``) and the hot counters are read only here and in
+:mod:`repro.mem.hierarchy`.  No lookup raises and catches an exception: a
+miss into a non-empty set is the common case on a TLB miss.
+Hit/miss/eviction counts accumulate in plain instance ints and are
+published into the :class:`~repro.common.stats.StatGroup` only when
+somebody reads it.
 """
 
 from __future__ import annotations
@@ -86,25 +88,6 @@ class Cache:
         """The line-aligned address containing *paddr*."""
         return paddr >> self._line_shift << self._line_shift
 
-    def lookup_fill(self, paddr: int) -> bool:
-        """Fused probe+insert: return True on hit, fill (evicting) on miss.
-
-        One level of :func:`lookup_fill_path`; state and counters end up
-        exactly as ``probe`` followed, on a miss, by ``insert``.
-        """
-        return not lookup_fill_path((self,), paddr)
-
-    def mru_hits(self, count: int) -> None:
-        """Account *count* repeat hits on the current MRU line (bulk touch).
-
-        A ``lookup_fill`` hit on ``cset[0]`` mutates nothing but the hit
-        counter, so N consecutive references to the line the previous
-        reference just made MRU fold into one integer add.  Only valid
-        under that regime — the hierarchy's ``access_run`` establishes it
-        by issuing the first reference of each line through ``access``.
-        """
-        self._hits += count
-
     def probe(self, paddr: int, update_lru: bool = True) -> bool:
         """Return True (hit) if the line holding *paddr* is resident.
 
@@ -164,41 +147,3 @@ class Cache:
         """Number of lines currently resident (for tests)."""
         return sum(len(s) for s in self._sets)
 
-
-def lookup_fill_path(path: Sequence[Cache], paddr: int) -> int:
-    """Probe *path* (L1 first) for *paddr*, filling each level that misses.
-
-    Returns how many levels missed before one hit (``len(path)`` when every
-    level missed).  This is the hierarchy's per-reference primitive: one
-    call decides hit or miss at each level with one set scan, updates
-    recency and installs the line, so a miss never pays a second residency
-    check the way ``probe`` + ``insert`` would.  Filling a missing level
-    before probing the next one is equivalent to filling on the way back:
-    the levels hold disjoint state, so the order of installs never changes
-    a hit, a victim or a counter.
-    """
-    missed = 0
-    for cache in path:
-        shift = cache._line_shift
-        shifted = paddr >> shift
-        line = shifted << shift
-        set_index = shifted & cache._set_mask
-        cset = cache._sets[set_index]
-        if not cset:
-            cache._sets[set_index] = [line]
-        elif cset[0] == line:  # MRU hit: the common case costs one compare
-            cache._hits += 1
-            return missed
-        elif line in cset:
-            cset.remove(line)
-            cset.insert(0, line)
-            cache._hits += 1
-            return missed
-        else:
-            if len(cset) >= cache._ways:
-                cset.pop()  # the LRU line
-                cache._evictions += 1
-            cset.insert(0, line)
-        cache._misses += 1
-        missed += 1
-    return missed

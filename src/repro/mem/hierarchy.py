@@ -6,24 +6,24 @@ is the single timing primitive every other component (PTW, PMPT walker,
 data path) uses, so permission-table walks and page-table walks naturally
 share cache capacity with data — the effect the paper's evaluation hinges on.
 
-The per-reference path is flattened: an access is one call to
-:func:`~repro.mem.cache.lookup_fill_path` over the L1 → L2 → LLC path,
-which probes and fills every level it reaches with no per-level call and
-no probe-then-insert double lookup; its miss count indexes a table of
-cumulative latencies built at construction.  The refs/dram_refs counters
-are deferred plain ints published on stats reads.  A level that hits
-installs the line in every level above it exactly as the unflattened
-probe/insert pair did, so residency, evictions and counters stay
-byte-identical.
+The per-reference path is one Python frame: ``access`` computes the line
+address once (the constructor checks that every level has the same line
+size) and loops over its side's L1 → L2 → LLC tuple itself, with no call
+per level and no probe-then-insert double lookup.  It reads the caches'
+MRU-first sets directly; only this module and :mod:`repro.mem.cache` do.
+How many levels missed indexes a table of cumulative latencies built at
+construction.  The refs/dram_refs counters are deferred plain ints
+published on stats reads.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..common.errors import ConfigurationError
 from ..common.params import MachineParams
 from ..common.stats import StatGroup
-from .cache import Cache, lookup_fill_path
+from .cache import Cache
 
 
 class MemoryHierarchy:
@@ -47,6 +47,13 @@ class MemoryHierarchy:
         # creates a private LLC exactly as before, so existing construction
         # stays byte-identical.
         self.llc = Cache(params.llc) if llc is None else llc
+        caches = (self.l1d, self.l1i, self.l2, self.llc)
+        if len({cache.params.line_bytes for cache in caches}) != 1:
+            raise ConfigurationError(
+                "cache levels must share one line size, got "
+                + ", ".join(f"{c.params.name} {c.params.line_bytes} B" for c in caches)
+            )
+        self._line_shift = self.l1d._line_shift
         # Deferred hot-path counters, published into ``stats`` on read.
         self._refs = 0
         self._dram_refs = 0
@@ -61,10 +68,6 @@ class MemoryHierarchy:
                 latency.append(latency[-1] + later)
             sides.append(((l1, self.l2, self.llc), tuple(latency)))
         self._data_side, self._fetch_side = sides
-        self._l1d_lat = params.l1d.hit_latency
-        self._l1i_lat = params.l1i.hit_latency
-        self._l1d_shift = self.l1d._line_shift
-        self._l1i_shift = self.l1i._line_shift
 
     def _publish_stats(self) -> None:
         """Sync point: fold pending reference counts into the StatGroup."""
@@ -76,12 +79,42 @@ class MemoryHierarchy:
             self._dram_refs = 0
 
     def access(self, paddr: int, instruction: bool = False) -> int:
-        """Perform one reference; return its cycle cost and update occupancy."""
+        """Perform one reference; return its cycle cost and update occupancy.
+
+        Each level is decided with one scan of its set: a hit moves the line
+        to the front (MRU) and ends the probe; a miss installs the line at
+        the front, evicting the set's last (LRU) line when the set is full,
+        and goes on to the next level.  Filling a missing level before
+        probing the next one is equivalent to filling on the way back, as a
+        probe/insert pair per level would: the levels hold disjoint state,
+        so the order of installs never changes a hit, a victim or a counter.
+        """
         self._refs += 1
-        path, latency = self._fetch_side if instruction else self._data_side
-        missed = lookup_fill_path(path, paddr)
-        if missed == 3:
-            self._dram_refs += 1
+        levels, latency = self._fetch_side if instruction else self._data_side
+        shifted = paddr >> self._line_shift
+        line = shifted << self._line_shift
+        missed = 0
+        for cache in levels:
+            set_index = shifted & cache._set_mask
+            cset = cache._sets[set_index]
+            if not cset:
+                cache._sets[set_index] = [line]
+            elif cset[0] == line:  # MRU hit: the common case costs one compare
+                cache._hits += 1
+                return latency[missed]
+            elif line in cset:
+                cset.remove(line)
+                cset.insert(0, line)
+                cache._hits += 1
+                return latency[missed]
+            else:
+                if len(cset) >= cache._ways:
+                    cset.pop()  # the LRU line
+                    cache._evictions += 1
+                cset.insert(0, line)
+            cache._misses += 1
+            missed += 1
+        self._dram_refs += 1
         return latency[missed]
 
     def access_run(self, paddr: int, stride: int, count: int, instruction: bool = False) -> int:
@@ -92,20 +125,17 @@ class MemoryHierarchy:
         miss counters happen exactly as scalar), and the follow-on references
         that land on the same line — which :meth:`access` just made MRU in
         the L1 — are charged as the MRU hits they would be: one L1 hit
-        latency, one hierarchy ref, one L1 hit count each, zero mutation
-        (see :meth:`~repro.mem.cache.Cache.mru_hits`).  Negative strides are
-        the caller's job to reject (run encodings only produce ``stride >= 0``).
+        latency, one hierarchy ref and one L1 hit count each, and no other
+        change (an MRU hit mutates nothing but the L1's hit counter).
+        Negative strides are the caller's job to reject (run encodings only
+        produce ``stride >= 0``).
         """
         if count <= 0:
             return 0
-        if instruction:
-            cache = self.l1i
-            lat = self._l1i_lat
-            shift = self._l1i_shift
-        else:
-            cache = self.l1d
-            lat = self._l1d_lat
-            shift = self._l1d_shift
+        levels, latency = self._fetch_side if instruction else self._data_side
+        l1 = levels[0]
+        lat = latency[0]
+        shift = self._line_shift
         access = self.access
         total = 0
         i = 0
@@ -123,7 +153,7 @@ class MemoryHierarchy:
             if n > 1:
                 k = n - 1
                 self._refs += k
-                cache.mru_hits(k)
+                l1._hits += k
                 total += k * lat
             i += n
         return total

@@ -92,10 +92,10 @@ class PhysicalMemory:
         """
         if paddr % WORD_BYTES or length % WORD_BYTES:
             raise AlignmentError(f"fill [{paddr:#x},+{length:#x}) not word-aligned")
-        if length < 0:
-            raise MemoryError_(f"fill [{paddr:#x},{length:+#x}) has a negative length")
         if not self.region.contains(paddr, length):
-            raise MemoryError_(f"fill [{paddr:#x},+{length:#x}) outside DRAM {self.region}")
+            raise MemoryError_(
+                f"fill [{paddr:#x},{length:+#x}) has a negative length or leaves DRAM {self.region}"
+            )
         if not length:
             return
         self.epoch += 1

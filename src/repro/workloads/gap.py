@@ -237,15 +237,20 @@ class GAPWorkload:
         return centrality
 
     def tc(self, max_vertices: int = 0) -> int:
-        """Triangle counting on the (ordered) adjacency lists."""
+        """Triangle counting on the (ordered) adjacency lists.
+
+        Each candidate of a scanned list costs one compute cycle, charged
+        as one sum per list: ``compute`` only adds to ``arrays.cycles``.
+        """
         count = 0
         limit = max_vertices or self.graph.n
         for v in range(min(limit, self.graph.n)):
             neighbors_v = [w for w in self._scan_vertex(v) if w > v]
             nv = set(neighbors_v)
             for w in neighbors_v:
-                for x in self._scan_vertex(w):
-                    self.arrays.compute(1)
+                scan = self._scan_vertex(w)
+                self.arrays.compute(len(scan))
+                for x in scan:
                     if x > w and x in nv:
                         count += 1
         return count

@@ -9,6 +9,8 @@ import sys
 from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import MemoryError_
 from repro.common.params import CacheParams, rocket
@@ -69,12 +71,6 @@ class ReferenceCache:
         cset[line] = None
         return victim
 
-    def lookup_fill(self, paddr):
-        if self.probe(paddr):
-            return True
-        self.insert(paddr)
-        return False
-
     def invalidate(self, paddr):
         cset = self._set(paddr)
         line = self._line(paddr)
@@ -91,10 +87,78 @@ class ReferenceCache:
         return sorted(line for cset in self.sets for line in cset)
 
 
+class ReferenceHierarchy:
+    """Three ``ReferenceCache`` models composed per side, as the hierarchy
+    was before its level loop was fused: probe L1 → L2 → LLC with one
+    ``probe`` per level, then ``insert`` into every level that missed on
+    the way back."""
+
+    def __init__(self, params):
+        self.params = params
+        self.l1d, self.l1i, self.l2, self.llc = (
+            ReferenceCache(level) for level in (params.l1d, params.l1i, params.l2, params.llc)
+        )
+        self.refs = 0
+        self.dram_refs = 0
+
+    def access(self, paddr, instruction=False):
+        self.refs += 1
+        p = self.params
+        l1, l1_params = (self.l1i, p.l1i) if instruction else (self.l1d, p.l1d)
+        path = ((l1, l1_params.hit_latency), (self.l2, p.l2.hit_latency), (self.llc, p.llc.hit_latency))
+        cycles = 0
+        missed = []
+        for cache, latency in path:
+            cycles += latency
+            if cache.probe(paddr):
+                break
+            missed.append(cache)
+        else:
+            cycles += p.dram_latency
+            self.dram_refs += 1
+        for cache in reversed(missed):
+            cache.insert(paddr)
+        return cycles
+
+    def access_run(self, paddr, stride, count, instruction=False):
+        return sum(self.access(paddr + i * stride, instruction) for i in range(count))
+
+
+def _small_hierarchy_params():
+    """Rocket's latencies over caches small enough for a short op stream to
+    hit, miss and evict at every level (16/8/64/128 lines)."""
+    base = rocket()
+    return base.with_(
+        l1d=CacheParams("l1d", 1024, ways=2, hit_latency=base.l1d.hit_latency),
+        l1i=CacheParams("l1i", 512, ways=2, hit_latency=base.l1i.hit_latency),
+        l2=CacheParams("l2", 4096, ways=4, hit_latency=base.l2.hit_latency),
+        llc=CacheParams("llc", 8192, ways=8, hit_latency=base.llc.hit_latency),
+    )
+
+
+#: A single reference or a strided run, on either side, starting in the
+#: first 16 KiB.
+_HIERARCHY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), st.integers(0, (1 << 14) - 1), st.booleans()),
+        st.tuples(
+            st.just("run"),
+            st.integers(0, (1 << 14) - 1),
+            st.booleans(),
+            st.sampled_from([0, 8, 64, 4096]),
+            st.integers(0, 40),
+        ),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
 class TestCacheEquivalence:
     """The flat-list Cache is observationally identical to the OrderedDict
     model: hits, victims, evictions and residency all match under random
-    probe / insert / lookup_fill / invalidate / flush streams."""
+    probe / insert / invalidate / flush streams, and the hierarchy's fused
+    level loop matches three of them composed."""
 
     # LRU is the only replacement policy; the parameter keeps the case ids.
     @pytest.mark.parametrize("replacement", ["lru"])
@@ -115,13 +179,11 @@ class TestCacheEquivalence:
         rng = random.Random(1000 + seed)
         for step in range(4000):
             op = rng.choices(
-                ["lookup_fill", "probe", "peek", "insert", "invalidate", "flush"],
-                weights=[40, 20, 10, 20, 8, 2],
+                ["probe", "peek", "insert", "invalidate", "flush"],
+                weights=[20, 10, 20, 8, 2],
             )[0]
             paddr = rng.randrange(0, span)
-            if op == "lookup_fill":
-                assert cache.lookup_fill(paddr) == reference.lookup_fill(paddr), step
-            elif op == "probe":
+            if op == "probe":
                 assert cache.probe(paddr) == reference.probe(paddr), step
             elif op == "peek":
                 got = cache.probe(paddr, update_lru=False)
@@ -142,21 +204,30 @@ class TestCacheEquivalence:
         assert cache.stats["miss"] == reference.misses
         assert cache.stats["eviction"] == reference.evictions
 
-    def test_fused_lookup_fill_equals_probe_insert(self):
-        params = CacheParams("t", 2048, ways=2, line_bytes=64)
-        fused = Cache(params)
-        split = Cache(params)
-        rng = random.Random(3)
-        for _ in range(3000):
-            paddr = rng.randrange(0, 1 << 15)
-            hit = split.probe(paddr)
-            if not hit:
-                split.insert(paddr)
-            assert fused.lookup_fill(paddr) == hit
-        assert fused.stats.snapshot() == split.stats.snapshot()
-        assert fused.resident_lines() == split.resident_lines()
-        # Identical LRU order, set by set.
-        assert [list(s) for s in fused._sets] == [list(s) for s in split._sets]
+    @settings(max_examples=60, deadline=None)
+    @given(_HIERARCHY_OPS)
+    def test_hierarchy_matches_composed_reference_caches(self, ops):
+        params = _small_hierarchy_params()
+        hierarchy = MemoryHierarchy(params)
+        reference = ReferenceHierarchy(params)
+        for step, op in enumerate(ops):
+            if op[0] == "access":
+                _, paddr, instruction = op
+                got = hierarchy.access(paddr, instruction)
+                assert got == reference.access(paddr, instruction), (step, op)
+            else:
+                _, paddr, instruction, stride, count = op
+                got = hierarchy.access_run(paddr, stride, count, instruction)
+                assert got == reference.access_run(paddr, stride, count, instruction), (step, op)
+        assert hierarchy.stats["refs"] == reference.refs
+        assert hierarchy.stats["dram_refs"] == reference.dram_refs
+        for name in ("l1d", "l1i", "l2", "llc"):
+            cache, model = getattr(hierarchy, name), getattr(reference, name)
+            assert cache.stats["hit"] == model.hits, name
+            assert cache.stats["miss"] == model.misses, name
+            assert cache.stats["eviction"] == model.evictions, name
+            # Set by set, MRU first.
+            assert [list(s) for s in cache._sets] == [list(reversed(s)) for s in model.sets], name
 
     def test_hierarchy_build_tracks_few_objects(self):
         """Unfilled sets share one empty tuple, so building a hierarchy
@@ -243,11 +314,12 @@ class TestDeferredStats:
         assert group["events"] == 0  # ...then discarded with the epoch
 
     def test_cache_counters_publish_on_read(self):
-        cache = Cache(CacheParams("t", 1024, ways=2, line_bytes=64))
-        cache.lookup_fill(0x1000)
-        cache.lookup_fill(0x1000)
-        assert cache.stats["miss"] == 1
-        assert cache.stats["hit"] == 1
+        hierarchy = MemoryHierarchy(rocket())
+        hierarchy.access(0x1000)
+        hierarchy.access(0x1000)
+        assert hierarchy.l1d.stats["miss"] == 1
+        assert hierarchy.l1d.stats["hit"] == 1
+        assert hierarchy.stats["refs"] == 2
 
 
 class TestPMPMatchTable:

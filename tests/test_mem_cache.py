@@ -1,5 +1,7 @@
 """Unit tests for the cache and hierarchy timing models."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,3 +145,11 @@ class TestMemoryHierarchy:
         h.access(0x8000_0000)
         assert h.stats["dram_refs"] == 1
         assert h.stats["refs"] == 2
+
+    def test_mixed_line_sizes_rejected(self):
+        """``access`` computes one line address for every level."""
+        p = rocket()
+        with pytest.raises(ConfigurationError, match="line size"):
+            MemoryHierarchy(p.with_(l2=replace(p.l2, line_bytes=128)))
+        with pytest.raises(ConfigurationError, match="line size"):
+            MemoryHierarchy(p, llc=Cache(replace(p.llc, line_bytes=128)))

@@ -78,6 +78,45 @@ def _csr(graph):
     return graph.n, graph.offsets, graph.neighbors
 
 
+def _tc_per_candidate(workload, max_vertices=0):
+    """``GAPWorkload.tc`` with its compute charged the old way: one
+    ``compute(1)`` per candidate instead of one sum per scanned list."""
+    count = 0
+    limit = max_vertices or workload.graph.n
+    for v in range(min(limit, workload.graph.n)):
+        neighbors_v = [w for w in workload._scan_vertex(v) if w > v]
+        nv = set(neighbors_v)
+        for w in neighbors_v:
+            for x in workload._scan_vertex(w):
+                workload.arrays.compute(1)
+                if x > w and x in nv:
+                    count += 1
+    return count
+
+
+class TestTriangleCountCharge:
+    """Summing tc's per-candidate compute charge per scanned list changes
+    no count, cycle, access or hierarchy counter."""
+
+    @pytest.mark.parametrize(
+        "scale, seed, max_vertices", [(5, 2, 0), (6, 0, 0), (6, 3, 17), (7, 1, 64)]
+    )
+    def test_matches_per_candidate_loop(self, scale, seed, max_vertices):
+        def run(tc):
+            system = System(machine="rocket", checker_kind="hpmp", mem_mib=128, seed=seed)
+            workload = GAPWorkload(system, scale=scale, degree=6, seed=seed)
+            count = tc(workload, max_vertices)
+            hierarchy = system.machine.hierarchy
+            stats = [hierarchy.stats.snapshot()] + [
+                level.stats.snapshot() for level in (hierarchy.l1d, hierarchy.l1i, hierarchy.l2, hierarchy.llc)
+            ]
+            return count, workload.arrays.cycles, workload.arrays.accesses, stats
+
+        expected = run(_tc_per_candidate)
+        assert expected[0] > 0
+        assert run(GAPWorkload.tc) == expected
+
+
 class TestKronGraph:
     """The per-process graph memo every GAP kernel × scheme run shares."""
 
