@@ -3,15 +3,13 @@
 
 Schedules a dozen enclaves round-robin (the paper's >100-instances-per-node
 motivation, scaled to example size), with every quantum boundary paying the
-monitor's real domain-switch cost, and an integrity-protected region being
-verified as domains touch their memory.
+monitor's real domain-switch cost.
 
 Run:  python examples/consolidated_node.py
 """
 
-from repro.common.types import KIB, MemRegion, PrivilegeMode, AccessType
+from repro.common.types import KIB, PrivilegeMode, AccessType
 from repro.soc.system import System
-from repro.tee.integrity import MountableMerkleTree
 from repro.tee.monitor import SecureMonitor
 from repro.tee.scheduler import RoundRobinScheduler
 
@@ -55,19 +53,6 @@ def main() -> None:
         run_node(scheme)
     print("  pmp  : cannot host 12 enclaves + regions within 16 entries in all layouts;")
     print("         see examples/serverless_node.py for the capacity wall.")
-
-    print("\nIntegrity (mountable Merkle tree) over a 8 MiB region:")
-    system = System(machine="boom", checker_kind="hpmp", mem_mib=256)
-    region = MemRegion(system.data_region.base, 8 * 1024 * 1024)
-    system.data_frames.reserve(region.base, region.size)
-    mmt = MountableMerkleTree(system.memory, region, system.machine.hierarchy, mount_capacity=2)
-    cold = mmt.verify(region.base)
-    warm = mmt.verify(region.base)
-    far = mmt.verify(region.base + 6 * 1024 * 1024)
-    print(f"  first verify (mount): {cold} cyc; mounted verify: {warm} cyc; "
-          f"other subtree (mount): {far} cyc")
-    print(f"  resident metadata: {mmt.resident_metadata_bytes()} B for "
-          f"{region.size // 1024 // 1024} MiB protected")
 
 
 if __name__ == "__main__":

@@ -1,76 +1,11 @@
-"""Post-run analysis utilities.
-
-Turns the raw counters scattered across a simulated system into the
-summaries a performance engineer actually reads: hit rates, reference
-breakdowns, cross-scheme comparisons, and paper-style "shape" assessments
-(who wins, by what factor, where the crossover sits).
+"""Post-run analysis utilities: cross-scheme comparisons and paper-style
+"shape" assessments (who wins, by what factor, where the crossover sits).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
-
-from .soc.system import System
-
-
-@dataclass(frozen=True)
-class MachineReport:
-    """A snapshot of one machine's micro-architectural behaviour."""
-
-    accesses: int
-    tlb_l1_hit_rate: float
-    tlb_l2_hit_rate: float
-    tlb_miss_rate: float
-    l1d_hit_rate: float
-    l2_hit_rate: float
-    llc_hit_rate: float
-    dram_refs: int
-    pt_refs: int
-    checker_refs: int
-    pwc_hit_rate: float
-    checker_stats: Dict[str, int]
-
-    def lines(self) -> List[str]:
-        """Human-readable summary lines."""
-        return [
-            f"accesses:        {self.accesses}",
-            f"TLB:             L1 {100 * self.tlb_l1_hit_rate:.1f}% / L2 {100 * self.tlb_l2_hit_rate:.1f}% "
-            f"/ miss {100 * self.tlb_miss_rate:.1f}%",
-            f"caches:          L1D {100 * self.l1d_hit_rate:.1f}% / L2 {100 * self.l2_hit_rate:.1f}% "
-            f"/ LLC {100 * self.llc_hit_rate:.1f}%",
-            f"DRAM refs:       {self.dram_refs}",
-            f"walk refs:       {self.pt_refs} page-table + {self.checker_refs} permission-table",
-            f"PWC hit rate:    {100 * self.pwc_hit_rate:.1f}%",
-        ]
-
-
-def report(system: System) -> MachineReport:
-    """Collect a :class:`MachineReport` from a system's counters."""
-    machine = system.machine
-    tlb = machine.tlb.stats
-    hierarchy = machine.hierarchy
-    total_tlb = tlb["l1_hit"] + tlb["l2_hit"] + tlb["miss"]
-
-    def rate(stats, hit="hit", miss="miss") -> float:
-        total = stats[hit] + stats[miss]
-        return stats[hit] / total if total else 0.0
-
-    checker_stats = getattr(machine.checker, "stats", None)
-    return MachineReport(
-        accesses=machine.stats["accesses"],
-        tlb_l1_hit_rate=tlb["l1_hit"] / total_tlb if total_tlb else 0.0,
-        tlb_l2_hit_rate=tlb["l2_hit"] / total_tlb if total_tlb else 0.0,
-        tlb_miss_rate=tlb["miss"] / total_tlb if total_tlb else 0.0,
-        l1d_hit_rate=rate(hierarchy.l1d.stats),
-        l2_hit_rate=rate(hierarchy.l2.stats),
-        llc_hit_rate=rate(hierarchy.llc.stats),
-        dram_refs=hierarchy.stats["dram_refs"],
-        pt_refs=machine.stats["pt_refs"],
-        checker_refs=machine.stats["checker_refs"],
-        pwc_hit_rate=machine.pwc.stats.ratio("hit", "miss"),
-        checker_stats=checker_stats.snapshot() if checker_stats is not None else {},
-    )
 
 
 @dataclass(frozen=True)

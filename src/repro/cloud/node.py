@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..common.errors import MemoryError_, OutOfResources
 from ..common.types import PAGE_SIZE, AccessType, MemRegion
 from ..soc.system import System
 from ..tee.enclave import ENCLAVE_HEAP_VA, ENCLAVE_TEXT_VA, EnclaveHandle, EnclaveRuntime
-from ..tee.integrity import HASH_CYCLES_PER_BLOCK
 from ..tee.monitor import HOST_DOMAIN_ID, SecureMonitor
 from ..tee.scheduler import RoundRobinScheduler, ScheduledTask
 from ..workloads.kernel import KernelModel
@@ -50,8 +49,10 @@ from .slo import SLOAccount
 #: build and signing, abstracted to one constant at simulation scale.
 ATTEST_BASE_CYCLES = 600
 
-#: Hash-engine cost to measure one 4 KiB page (64-byte blocks, matching the
-#: integrity subsystem's per-block constant).  The measurement DMA streams
+#: Cycles the monitor's hash engine charges per 64-byte SHA-256 block.
+HASH_CYCLES_PER_BLOCK = 12
+
+#: Hash-engine cost to measure one 4 KiB page.  The measurement DMA streams
 #: from DRAM without polluting the cache hierarchy, so attestation is an
 #: analytic charge rather than simulated traffic.
 ATTEST_PAGE_CYCLES = HASH_CYCLES_PER_BLOCK * (PAGE_SIZE // 64)
@@ -310,7 +311,7 @@ class CloudNode:
     def _reap(self) -> None:
         """Tear down every tenant whose task finished its last quantum.
 
-        Retire-before-destroy ordering matters: the scheduler's queue must
+        Reap-before-destroy ordering matters: the scheduler's queue must
         drop a domain's task before the domain dies, or the next pass would
         switch into a dead domain.  ``reap`` only returns done tasks, so
         that ordering holds by construction here.

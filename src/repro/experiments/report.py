@@ -68,18 +68,6 @@ def _format_cell(value: object) -> str:
     return str(value)
 
 
-def normalize(rows: List[Dict[str, object]], value_keys: Sequence[str], baseline_key: str) -> List[Dict[str, object]]:
-    """Return rows with value columns rescaled to % of the baseline column."""
-    out = []
-    for row in rows:
-        base = float(row[baseline_key])  # type: ignore[arg-type]
-        new_row = dict(row)
-        for key in value_keys:
-            new_row[key] = 100.0 * float(row[key]) / base if base else 0.0  # type: ignore[arg-type]
-        out.append(new_row)
-    return out
-
-
 def _plain(value: object) -> Union[int, float, str, bool, None]:
     """Coerce a cell to a JSON-safe scalar."""
     if isinstance(value, (int, float, str, bool)) or value is None:
@@ -122,13 +110,3 @@ def selfcheck_line() -> str:
         f"{s['accesses']} accesses, {s['tlb_fills']} TLB fills, "
         f"{s['hooks']} engines]"
     )
-
-
-def geomean(values: Sequence[float]) -> float:
-    """Geometric mean (0 if empty)."""
-    if not values:
-        return 0.0
-    product = 1.0
-    for v in values:
-        product *= v
-    return product ** (1.0 / len(values))

@@ -30,14 +30,6 @@ PMP_ENTRIES = 16
 # and ``PMPChecker.check`` runs once per checked reference.
 _MACHINE = PrivilegeMode.MACHINE
 
-# Config-register bit positions (RISC-V privileged spec; T is HPMP's bit 5).
-CFG_R = 1 << 0
-CFG_W = 1 << 1
-CFG_X = 1 << 2
-CFG_A_SHIFT = 3
-CFG_T = 1 << 5
-CFG_L = 1 << 7
-
 
 class AddrMatch(enum.IntEnum):
     """PMP address-matching modes (config A field)."""
@@ -62,28 +54,6 @@ class PMPEntry:
     locked: bool = False
     table: bool = False  # HPMP T bit (always False for classic PMP)
     addr: int = 0
-
-    @property
-    def config_byte(self) -> int:
-        """Encode the config register byte (Figure 6-a layout)."""
-        bits = self.perm.bits  # R/W/X already at bits 0..2
-        bits |= int(self.match) << CFG_A_SHIFT
-        if self.table:
-            bits |= CFG_T
-        if self.locked:
-            bits |= CFG_L
-        return bits
-
-    @classmethod
-    def from_config_byte(cls, config: int, addr: int = 0) -> "PMPEntry":
-        """Decode a config register byte."""
-        return cls(
-            perm=Permission.from_bits(config & 0x7),
-            match=AddrMatch((config >> CFG_A_SHIFT) & 0x3),
-            locked=bool(config & CFG_L),
-            table=bool(config & CFG_T),
-            addr=addr,
-        )
 
 
 def napot_addr(base: int, size: int) -> int:

@@ -247,24 +247,6 @@ class FrameAllocator:
         if frame < self._scan_floor:
             self._scan_floor = frame
 
-    def reserve(self, base: int, size: int) -> None:
-        """Remove ``[base, base+size)`` from the pool (e.g. monitor memory)."""
-        wanted = set(range(base, base + size, PAGE_SIZE))
-        missing = wanted - self._pos.keys()
-        if missing:
-            raise MemoryError_(f"reserve: {len(missing)} frames not free (first {min(missing):#x})")
-        free = self._free
-        live = self._live
-        for frame in wanted:
-            slot = self._pos.pop(frame)
-            free[slot] = None
-            if live is not None:
-                live.add(slot, -1)
-        self._tombstones += len(wanted)
-        self._allocated |= wanted
-        if self._tombstones * 2 > len(free):
-            self._compact()
-
     def fragmentation(self) -> Dict[str, object]:
         """Free-span metrics of the pool's current state (lazy, read-only).
 

@@ -158,26 +158,6 @@ class MemoryHierarchy:
             i += n
         return total
 
-    def peek_latency(self, paddr: int, instruction: bool = False) -> int:
-        """Latency ``access`` would charge, without changing any state.
-
-        "Any state" includes statistics: the peeks below leave every
-        StatGroup untouched (no hit/miss counts, no refs), so telemetry
-        observes only the references the timed path actually issued.
-        """
-        path, latency = self._fetch_side if instruction else self._data_side
-        missed = 0
-        for cache in path:
-            if cache.probe(paddr, update_lru=False):
-                break
-            missed += 1
-        return latency[missed]
-
-    def warm(self, paddr: int) -> None:
-        """Install the line holding *paddr* at every level (no timing)."""
-        for cache in (self.llc, self.l2, self.l1d):
-            cache.insert(paddr)
-
     def flush(self, levels: Optional[str] = None) -> None:
         """Flush caches: all by default, or a subset like ``"l1"`` / ``"l1l2"``."""
         if levels is None:

@@ -10,7 +10,7 @@ uses to place all PT pages inside one contiguous "fast" GMS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..common.errors import ConfigurationError, PageFault
 from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType, Permission
@@ -282,28 +282,6 @@ class PageTable:
             raise PageFault(va, f"page permission {result.perm} denies {access.value}")
         return result.paddr
 
-    def mapped_vas(self) -> Iterator[int]:
-        """Yield every mapped 4 KiB-aligned VA (test/debug helper)."""
-
-        def recurse(table: int, level: int, va_prefix: int) -> Iterator[int]:
-            for idx in range(PTES_PER_PAGE):
-                pte = self.memory.read64(table + idx * 8)
-                if not pte_is_valid(pte):
-                    continue
-                va = va_prefix | (idx << (PAGE_SHIFT + VPN_BITS * level))
-                if pte_is_leaf(pte):
-                    yield va
-                else:
-                    yield from recurse(pte_ppn(pte) << PAGE_SHIFT, level - 1, va)
-
-        yield from recurse(self.root_pa, self.levels - 1, 0)
-
     def pt_page_count(self) -> int:
         """Number of page-table pages this table owns."""
         return len(self.pt_pages)
-
-    def pt_region_bounds(self) -> Optional[Tuple[int, int]]:
-        """(min, max+PAGE_SIZE) bounds over all PT pages, or None if empty."""
-        if not self.pt_pages:
-            return None
-        return min(self.pt_pages), max(self.pt_pages) + PAGE_SIZE

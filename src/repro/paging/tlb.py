@@ -159,15 +159,6 @@ class TLB:
         vpn = self.vpn(va)
         self._invalidate(lambda k: k[1] == vpn and (asid is None or k[0] == asid))
 
-    def drop_inlined_permissions(self) -> None:
-        """Clear inlined checker permissions without dropping translations.
-
-        Used by ablations that model isolation-state updates synchronized via
-        permission revalidation instead of a full flush.
-        """
-        for _level, _key, entry in self.resident_entries():
-            entry.checker_perm = None
-
     def resident_entries(self):
         """Yield every resident entry as ``(level, (asid, vpn), entry)``.
 

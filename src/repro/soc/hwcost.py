@@ -98,23 +98,6 @@ def hpmp_additions(params: MachineParams, pmptw_cache_entries: int = 8) -> List[
     ]
 
 
-def smp_additions(num_harts: int) -> List[ModuleCost]:
-    """What N-hart monitor concurrency adds to the SoC (state inventory).
-
-    Small fixed structures: the monitor's lock word and owner/queue state,
-    one CLINT-style software-interrupt pending bit + doorbell per hart,
-    and a per-hart sfence/shootdown acknowledge latch.  Like the HPMP
-    additions these are rounding errors next to the caches, which is the
-    point — the concurrency model costs cycles (lock queueing, IPIs), not
-    silicon.
-    """
-    return [
-        ModuleCost("monitor_lock", 64 + num_harts.bit_length(), 80),
-        ModuleCost("ipi_fabric", num_harts * (1 + 32), 60 * num_harts),
-        ModuleCost("shootdown_ack", num_harts * 2, 20 * num_harts),
-    ]
-
-
 def cost_report(params: MachineParams, hypervisor: bool = False) -> Dict[str, Dict[str, float]]:
     """Table-4-shaped report: baseline vs HPMP state bits and logic proxy.
 

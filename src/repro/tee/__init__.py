@@ -2,8 +2,7 @@
 
 from .driver import RangeHint, TEEDriver
 from .enclave import EnclaveHandle, EnclaveRuntime
-from .gms import GMS, LABELS, coalesce
-from .integrity import IntegrityError, MerkleTree, MountableMerkleTree
+from .gms import GMS, LABELS
 from .monitor import CONTEXT_SWITCH_BASE_CYCLES, HOST_DOMAIN_ID, Domain, SecureMonitor
 from .scheduler import RoundRobinScheduler, ScheduleResult, ScheduledTask
 
@@ -14,15 +13,11 @@ __all__ = [
     "EnclaveRuntime",
     "GMS",
     "HOST_DOMAIN_ID",
-    "IntegrityError",
     "LABELS",
-    "MerkleTree",
-    "MountableMerkleTree",
     "RoundRobinScheduler",
     "ScheduleResult",
     "ScheduledTask",
     "RangeHint",
     "TEEDriver",
     "SecureMonitor",
-    "coalesce",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from ..common.errors import ConfigurationError
 from ..common.types import MemRegion, Permission
@@ -51,33 +50,3 @@ class GMS:
 
     def __str__(self) -> str:
         return f"GMS#{self.gms_id}({self.region}, {self.perm}, {self.label})"
-
-
-def coalesce(gmss: "list[GMS]") -> Iterator[GMS]:
-    """Yield GMSs, merging adjacent same-permission, same-label neighbors.
-
-    Used by the monitor to minimize segment-entry consumption when the OS
-    hands over fragmented fast regions.
-    """
-    ordered = sorted(gmss, key=lambda g: g.region.base)
-    current: "GMS | None" = None
-    for gms in ordered:
-        if (
-            current is not None
-            and current.region.end == gms.region.base
-            and current.perm == gms.perm
-            and current.label == gms.label
-            and current.owner_domain == gms.owner_domain
-        ):
-            current = GMS(
-                MemRegion(current.region.base, current.region.size + gms.region.size),
-                current.perm,
-                current.label,
-                current.owner_domain,
-            )
-            continue
-        if current is not None:
-            yield current
-        current = gms
-    if current is not None:
-        yield current

@@ -85,8 +85,6 @@ class SecureMonitor:
         self._next_domain_id = 0
         self.current_domain_id = HOST_DOMAIN_ID
         self.cycles_spent = 0
-        # Shared regions (pmp scheme): one entry each, toggled per switch.
-        self._shared_entries: List["tuple[int, GMS, frozenset]"] = []
         # Observers see every mutating monitor operation *after* it applied
         # (event name + keyword payload).  The verify subsystem uses this to
         # keep its shadow permission oracle in lockstep; observers must not
@@ -485,64 +483,6 @@ class SecureMonitor:
         self._notify("revoke_region", domain_id=domain_id, gms=gms)
         return cycles
 
-    def grant_shared_region(
-        self,
-        domain_ids: "list[int]",
-        size: int,
-        perm: Permission = Permission.rw(),
-        hart_id: int = 0,
-        now: Optional[int] = None,
-    ) -> "tuple[GMS, int]":
-        """Inter-enclave communication: one region visible to several domains.
-
-        The paper's Penglai architecture (Figure 7) includes an
-        inter-enclave communication component; its substrate is a GMS mapped
-        into multiple domains' permission views.  PMP-scheme systems burn
-        one segment entry per member; table schemes add table entries only.
-        """
-        if not domain_ids:
-            raise MonitorError("shared region needs at least one domain")
-        cycles = self._lock_acquire(hart_id, now)
-        members = [self.domain(d) for d in domain_ids]
-        frames = size // PAGE_SIZE
-        align = frames if self.scheme == "pmp" else 1
-        base = self.system.data_frames.alloc_contiguous(frames, align_frames=align)
-        region = MemRegion(base, size)
-        gms = GMS(region, perm, "slow", owner_domain=domain_ids[0])
-        if self.scheme == "pmp":
-            # One entry for the whole group, toggled on every domain switch.
-            if not self._pmp_free_entries:
-                raise OutOfResources("No available PMP entry for a shared region")
-            index = self._pmp_free_entries.pop(0)
-            active = self.current_domain_id in domain_ids
-            self.regfile.set_entry(
-                index,
-                PMPEntry(
-                    perm=perm if active else Permission.none(),
-                    match=AddrMatch.NAPOT,
-                    addr=napot_addr(region.base, region.size),
-                ),
-            )
-            self._shared_entries.append((index, gms, frozenset(domain_ids)))
-            cycles += self._charge_register_write(2)
-        else:
-            for member in members:
-                before = member.table.entry_writes
-                member.table.set_range(region.base, region.size, perm)
-                cycles += self._charge_table_writes(member.table, before)
-                member.gmss.append(gms)
-        # Non-members (and the host) lose access.
-        for other in self.domains:
-            if other.domain_id in domain_ids or other.table is None:
-                continue
-            before = other.table.entry_writes
-            other.table.set_range(region.base, region.size, Permission.none())
-            cycles += self._charge_table_writes(other.table, before)
-        cycles += self._charge_tlb_flush(hart_id)
-        self._lock_release(now, cycles)
-        self._notify("grant_shared_region", domain_ids=list(domain_ids), gms=gms)
-        return gms, cycles
-
     def hint_fast_region(
         self, domain_id: int, region: MemRegion, hart_id: int = 0, now: Optional[int] = None
     ) -> "tuple[GMS, int]":
@@ -635,16 +575,6 @@ class SecureMonitor:
                     if gms.fast:
                         cycles += self._try_install_fast_segment(target, gms)
         self.current_domain_id = domain_id
-        for index, gms, member_ids in self._shared_entries:
-            self.regfile.set_entry(
-                index,
-                PMPEntry(
-                    perm=gms.perm if domain_id in member_ids else Permission.none(),
-                    match=AddrMatch.NAPOT,
-                    addr=napot_addr(gms.region.base, gms.region.size),
-                ),
-            )
-            cycles += self._charge_register_write(1)
         cycles += self._charge_tlb_flush(hart_id)
         self._lock_release(now, cycles)
         self._notify("switch_to", domain_id=domain_id)

@@ -98,21 +98,6 @@ class RoundRobinScheduler:
             per_task={t.name: t.cycles_run for t in self._tasks},
         )
 
-    def retire(self, domain_id: int) -> int:
-        """Mark every task of *domain* done; returns how many were retired.
-
-        The churn-safe teardown order: a tenant departing mid-run must be
-        retired *before* its domain is destroyed, or the next round-robin
-        pass would try to ``switch_to`` a dead domain and fault the whole
-        schedule.  Retiring is idempotent and never touches the monitor.
-        """
-        retired = 0
-        for task in self._tasks:
-            if task.domain_id == domain_id and not task.done:
-                task.done = True
-                retired += 1
-        return retired
-
     def reap(self) -> List[ScheduledTask]:
         """Drop and return the done tasks from the queue.
 

@@ -254,29 +254,18 @@ class MonitorOracle:
         self.tables.pop(domain_id, None)
         self._writes_seen.pop(domain_id, None)
 
-    def _apply_grant(self, gms: GMS, perm: Permission, member_ids) -> None:
+    def _on_grant_region(self, domain_id: int, gms: GMS) -> None:
+        if self.monitor.scheme == "pmp":
+            return
         region = gms.region
         for tracked in list(self.views):
-            if tracked in member_ids:
-                value = perm
-            else:
-                value = Permission.none()
+            value = gms.perm if tracked == domain_id else Permission.none()
             self.views[tracked].set_range(region.base, region.size, value)
             self._expect(
                 tracked,
                 self.models[tracked].set_range(region.base, region.size, value),
-                "grant" if tracked in member_ids else "grant (others)",
+                "grant" if tracked == domain_id else "grant (others)",
             )
-
-    def _on_grant_region(self, domain_id: int, gms: GMS) -> None:
-        if self.monitor.scheme == "pmp":
-            return
-        self._apply_grant(gms, gms.perm, {domain_id})
-
-    def _on_grant_shared_region(self, domain_ids, gms: GMS) -> None:
-        if self.monitor.scheme == "pmp":
-            return
-        self._apply_grant(gms, gms.perm, set(domain_ids))
 
     def _on_revoke_region(self, domain_id: int, gms: GMS) -> None:
         if self.monitor.scheme == "pmp":

@@ -1,6 +1,5 @@
 """Virtualized environment: two-stage translation and 3D page walks."""
 
-from .hypervisor import Hypervisor, VMHandle
 from .nested import GUEST_DRAM_BASE, GUEST_PT_AREA, GuestAccessResult, GuestMemoryView, VirtualMachine
 
 __all__ = [
@@ -8,7 +7,5 @@ __all__ = [
     "GUEST_PT_AREA",
     "GuestAccessResult",
     "GuestMemoryView",
-    "Hypervisor",
-    "VMHandle",
     "VirtualMachine",
 ]

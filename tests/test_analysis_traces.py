@@ -1,36 +1,8 @@
-"""Tests for the analysis utilities and trace record/replay."""
+"""Tests for the analysis utilities: scheme comparisons and shape checks."""
 
 import pytest
 
-from repro.analysis import MachineReport, ShapeAssessment, compare, report
-from repro.common.errors import WorkloadError
-from repro.common.types import PAGE_SIZE, AccessType
-from repro.soc.system import System
-from repro.workloads.traces import Trace, TraceEntry, TraceRecorder, compare_replay, replay
-
-VA = 0x40_0000_0000
-
-
-class TestMachineReport:
-    def test_report_after_workload(self):
-        system = System(machine="rocket", checker_kind="pmpt", mem_mib=128)
-        space = system.new_address_space()
-        space.map(VA, 8 * PAGE_SIZE)
-        for _ in range(3):
-            for i in range(8):
-                system.access(space, VA + i * PAGE_SIZE)
-        result = report(system)
-        assert result.accesses == 24
-        assert 0 < result.tlb_l1_hit_rate <= 1
-        assert result.checker_refs > 0
-        assert result.checker_stats["checks"] > 0
-        assert any("TLB" in line for line in result.lines())
-
-    def test_empty_system_report(self):
-        system = System(machine="rocket", checker_kind="pmp", mem_mib=128)
-        result = report(system)
-        assert result.accesses == 0
-        assert result.tlb_miss_rate == 0.0
+from repro.analysis import ShapeAssessment, compare
 
 
 class TestComparison:
@@ -65,83 +37,3 @@ class TestComparison:
         shape = ShapeAssessment(cmp_, expected_order=("pmp", "hpmp", "pmpt"))
         assert not shape.evaluate()
         assert any("ordering" in n for n in shape.notes)
-
-
-class TestTrace:
-    def test_encode_decode_roundtrip(self):
-        entry = TraceEntry(0xDEADB000, AccessType.WRITE)
-        assert TraceEntry.decode(entry.encode()) == entry
-
-    def test_save_load_roundtrip(self):
-        trace = Trace()
-        trace.require_mapping(VA, 2 * PAGE_SIZE)
-        trace.append(VA, AccessType.READ)
-        trace.append(VA + 8, AccessType.WRITE)
-        loaded = Trace.loads(trace.dumps())
-        assert loaded.mappings == [(VA, 2 * PAGE_SIZE)]
-        assert list(loaded) == list(trace)
-
-    def test_load_skips_comments(self):
-        trace = Trace.loads("# header\n\nr 0x1000\n")
-        assert len(trace) == 1
-
-    def test_bad_line_rejected(self):
-        with pytest.raises(WorkloadError):
-            Trace.loads("q 0x10\n")
-        with pytest.raises(WorkloadError):
-            Trace.loads("m 0x10\n")
-
-
-class TestRecordReplay:
-    def make_trace(self):
-        system = System(machine="rocket", checker_kind="pmp", mem_mib=128)
-        space = system.new_address_space()
-        space.map(VA, 4 * PAGE_SIZE)
-        with TraceRecorder(system.machine) as recorder:
-            for i in range(4):
-                system.access(space, VA + i * PAGE_SIZE)
-            system.access(space, VA, AccessType.WRITE)
-        recorder.trace.require_mapping(VA, 4 * PAGE_SIZE)
-        return recorder.trace
-
-    def test_recorder_captures_everything(self):
-        trace = self.make_trace()
-        assert len(trace) == 5
-        assert trace.entries[-1].access is AccessType.WRITE
-
-    def test_recorder_restores_machine(self):
-        system = System(machine="rocket", checker_kind="pmp", mem_mib=128)
-        engine = system.machine.engine
-        assert not engine.has_hooks
-        with TraceRecorder(system.machine) as recorder:
-            assert engine.has_hooks
-            assert recorder in engine.hooks
-        assert not engine.has_hooks
-
-    def test_replay_reproduces_reference_counts(self):
-        trace = self.make_trace()
-        results = compare_replay(trace, kinds=("pmp", "pmpt", "hpmp"))
-        # 4 cold misses + 1 hit.  PMPT: the first walk costs 8 checker refs;
-        # the next three resolve their prefix in the PWC (adjacent pages), so
-        # each is one leaf-PTE read (2 refs) + the data check (2): 8+3*4=20.
-        # HPMP: only the 2-ref data check per miss: 4*2=8.
-        assert results["pmp"].checker_refs == 0
-        assert results["pmpt"].checker_refs == 20
-        assert results["hpmp"].checker_refs == 8
-
-    def test_replay_is_deterministic(self):
-        trace = self.make_trace()
-        a = replay(trace, "pmpt")
-        b = replay(trace, "pmpt")
-        assert a == b
-
-    def test_replay_without_mappings_needs_space(self):
-        trace = Trace()
-        trace.append(VA, AccessType.READ)
-        with pytest.raises(WorkloadError):
-            replay(trace, "pmp")
-
-    def test_replay_ordering_matches_paper(self):
-        trace = self.make_trace()
-        results = compare_replay(trace)
-        assert results["pmp"].cycles < results["hpmp"].cycles < results["pmpt"].cycles

@@ -439,7 +439,7 @@ class TestHookInvariance:
     """Workloads that take only scalar steps: an access hook changes nothing.
 
     ``run_fragmentation``'s strides (4 KiB, and 8 GiB + 4 KiB) put every
-    reference alone on its page, and ``replay`` charges every trace entry
+    reference alone on its page, and the trace replay charges every entry
     with the scalar step, so neither fuses.  Each test runs the workload
     plain and with an access-only hook on every engine and asserts equal
     results: a hook observes and never alters timing.
@@ -461,15 +461,18 @@ class TestHookInvariance:
         assert plain == hooked
 
     def test_trace_record_and_replay(self):
-        from repro.workloads.traces import Trace, replay
+        trace = [(VA + 8 * i, AccessType.READ) for i in range(256)] + [(VA, AccessType.WRITE)] * 16
 
-        trace = Trace()
-        trace.require_mapping(VA, 4 * PAGE_SIZE)
-        for i in range(256):
-            trace.append(VA + 8 * i, AccessType.READ)
-        for _ in range(16):
-            trace.append(VA, AccessType.WRITE)
-        plain, hooked = self._plain_and_hooked(lambda: replay(trace, "hpmp", machine="rocket"))
+        def replay():
+            """Each entry's scalar step on a fresh, cold-booted system."""
+            system = System(machine="rocket", checker_kind="hpmp", mem_mib=256)
+            space = system.new_address_space()
+            space.map(VA, 4 * PAGE_SIZE)
+            system.machine.cold_boot()
+            step = system.machine._access_core
+            return [step(space.page_table, va, access, PrivilegeMode.USER, space.asid) for va, access in trace]
+
+        plain, hooked = self._plain_and_hooked(replay)
         assert plain == hooked
 
 

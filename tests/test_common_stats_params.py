@@ -7,7 +7,7 @@ import pytest
 
 from repro.common.params import CacheParams, boom, machine_params, rocket
 from repro.common.stats import Histogram, StatGroup
-from repro.experiments.report import format_table, geomean, normalize
+from repro.experiments.report import format_table
 
 import json
 
@@ -281,12 +281,3 @@ class TestReportHelpers:
     def test_format_table_title_and_missing_cells(self):
         text = format_table(["x"], [{}], title="T")
         assert text.splitlines()[0] == "T"
-
-    def test_normalize(self):
-        rows = [{"name": "r", "a": 50.0, "b": 100.0}]
-        out = normalize(rows, ["a", "b"], baseline_key="b")
-        assert out[0]["a"] == 50.0 and out[0]["b"] == 100.0
-
-    def test_geomean(self):
-        assert geomean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geomean([]) == 0.0

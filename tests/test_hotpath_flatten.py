@@ -18,7 +18,6 @@ from repro.common.stats import StatGroup
 from repro.common.types import PAGE_SIZE, AccessType, MemRegion, Permission, PrivilegeMode
 from repro.isolation.pmp import AddrMatch, PMPEntry, PMPRegisterFile, napot_addr
 from repro.mem.allocator import FrameAllocator
-from repro.mem.cache import Cache
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.runner.cli import bench_summary
 from repro.runner.manifest import CellRecord, RunManifest
@@ -27,8 +26,8 @@ from repro.workloads.harness import stable_hash
 
 
 class ReferenceCache:
-    """OrderedDict model of the pre-flattening Cache, including stats and
-    victim selection (LRU order = dict order)."""
+    """OrderedDict model of one cache level, including stats and victim
+    selection (LRU order = dict order)."""
 
     def __init__(self, params: CacheParams):
         self.line = params.line_bytes
@@ -45,11 +44,9 @@ class ReferenceCache:
     def _line(self, paddr):
         return (paddr // self.line) * self.line
 
-    def probe(self, paddr, update_lru=True):
+    def probe(self, paddr):
         cset = self._set(paddr)
         line = self._line(paddr)
-        if not update_lru:
-            return line in cset
         if line in cset:
             cset.move_to_end(line)
             self.hits += 1
@@ -71,20 +68,9 @@ class ReferenceCache:
         cset[line] = None
         return victim
 
-    def invalidate(self, paddr):
-        cset = self._set(paddr)
-        line = self._line(paddr)
-        if line not in cset:
-            return False
-        del cset[line]
-        return True
-
     def flush(self):
         for cset in self.sets:
             cset.clear()
-
-    def resident(self):
-        return sorted(line for cset in self.sets for line in cset)
 
 
 class ReferenceHierarchy:
@@ -123,21 +109,36 @@ class ReferenceHierarchy:
     def access_run(self, paddr, stride, count, instruction=False):
         return sum(self.access(paddr + i * stride, instruction) for i in range(count))
 
+    def flush(self, levels=None):
+        """``MemoryHierarchy.flush``: every level, or ``"l1"``/``"l1l2"``."""
+        if levels is None:
+            levels = "l1l2llc"
+        caches = [(self.l1d, "l1"), (self.l1i, "l1"), (self.l2, "l2"), (self.llc, "llc")]
+        for cache, name in caches:
+            if name in levels:
+                cache.flush()
 
-def _small_hierarchy_params():
-    """Rocket's latencies over caches small enough for a short op stream to
-    hit, miss and evict at every level (16/8/64/128 lines)."""
+
+def _hierarchy_params(small_l2_llc):
+    """Rocket's latencies over L1s small enough for a short op stream to
+    hit, miss and evict in them (16/8 lines).  With *small_l2_llc* the L2
+    and LLC are small too (64/128 lines); otherwise they keep rocket's real
+    geometry, whose 1,024 and 8,192 sets a stream mostly leaves unfilled."""
     base = rocket()
-    return base.with_(
+    small = base.with_(
         l1d=CacheParams("l1d", 1024, ways=2, hit_latency=base.l1d.hit_latency),
         l1i=CacheParams("l1i", 512, ways=2, hit_latency=base.l1i.hit_latency),
+    )
+    if not small_l2_llc:
+        return small
+    return small.with_(
         l2=CacheParams("l2", 4096, ways=4, hit_latency=base.l2.hit_latency),
         llc=CacheParams("llc", 8192, ways=8, hit_latency=base.llc.hit_latency),
     )
 
 
 #: A single reference or a strided run, on either side, starting in the
-#: first 16 KiB.
+#: first 16 KiB, or a flush of every level, the L1s, or the L1s and the L2.
 _HIERARCHY_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("access"), st.integers(0, (1 << 14) - 1), st.booleans()),
@@ -148,6 +149,7 @@ _HIERARCHY_OPS = st.lists(
             st.sampled_from([0, 8, 64, 4096]),
             st.integers(0, 40),
         ),
+        st.tuples(st.just("flush"), st.sampled_from([None, "l1", "l1l2"])),
     ),
     min_size=1,
     max_size=200,
@@ -155,10 +157,10 @@ _HIERARCHY_OPS = st.lists(
 
 
 class TestCacheEquivalence:
-    """The flat-list Cache is observationally identical to the OrderedDict
-    model: hits, victims, evictions and residency all match under random
-    probe / insert / invalidate / flush streams, and the hierarchy's fused
-    level loop matches three of them composed."""
+    """A flat-list cache level is observationally identical to the
+    OrderedDict model, and the hierarchy's fused level loop to three of
+    them composed per side: latencies, hits, victims, evictions and
+    residency all match under random reference, run and flush streams."""
 
     # LRU is the only replacement policy; the parameter keeps the case ids.
     @pytest.mark.parametrize("replacement", ["lru"])
@@ -174,40 +176,43 @@ class TestCacheEquivalence:
         ids=["0", "1", "7", "42", "rocket-llc", "8way-16set"],
     )
     def test_random_streams_match(self, replacement, seed, params, span):
-        cache = Cache(params)
+        """The level under test is a hierarchy's L1D, since
+        ``MemoryHierarchy.access`` is a level's only lookup: a reference
+        is the model's probe plus an insert on a miss, and every step
+        compares the touched set, so a wrong victim or LRU order fails
+        where it happens."""
+        hierarchy = MemoryHierarchy(rocket().with_(l1d=params))
+        cache = hierarchy.l1d
         reference = ReferenceCache(params)
         rng = random.Random(1000 + seed)
         for step in range(4000):
-            op = rng.choices(
-                ["probe", "peek", "insert", "invalidate", "flush"],
-                weights=[20, 10, 20, 8, 2],
-            )[0]
+            op = rng.choices(["access", "peek", "flush"], weights=[40, 10, 2])[0]
             paddr = rng.randrange(0, span)
-            if op == "probe":
-                assert cache.probe(paddr) == reference.probe(paddr), step
+            index = (paddr >> cache._line_shift) & cache._set_mask
+            if op == "access":
+                hit = reference.probe(paddr)
+                if not hit:
+                    reference.insert(paddr)
+                assert (hierarchy.access(paddr) == params.hit_latency) == hit, step
+                assert list(cache._sets[index]) == list(reversed(reference._set(paddr))), step
             elif op == "peek":
-                got = cache.probe(paddr, update_lru=False)
-                assert got == reference.probe(paddr, update_lru=False), step
-            elif op == "insert":
-                assert cache.insert(paddr) == reference.insert(paddr), step
-            elif op == "invalidate":
-                assert cache.invalidate(paddr) == reference.invalidate(paddr), step
+                # Residency without a lookup: neither side's LRU order moves.
+                line = reference._line(paddr)
+                assert (line in cache._sets[index]) == (line in reference._set(paddr)), step
             else:
-                cache.flush()
+                hierarchy.flush("l1")
                 reference.flush()
-        assert cache.resident_lines() == len(reference.resident())
-        # Set by set, MRU first (an unfilled set is a tuple, an emptied one a list).
+        assert sum(len(s) for s in cache._sets) == sum(len(s) for s in reference.sets)
+        # Set by set, MRU first (an unfilled or flushed set is a tuple).
         assert [list(s) for s in cache._sets] == [list(reversed(s)) for s in reference.sets]
-        for line in reference.resident():
-            assert cache.probe(line, update_lru=False), hex(line)
         assert cache.stats["hit"] == reference.hits
         assert cache.stats["miss"] == reference.misses
         assert cache.stats["eviction"] == reference.evictions
 
     @settings(max_examples=60, deadline=None)
-    @given(_HIERARCHY_OPS)
-    def test_hierarchy_matches_composed_reference_caches(self, ops):
-        params = _small_hierarchy_params()
+    @given(st.booleans(), _HIERARCHY_OPS)
+    def test_hierarchy_matches_composed_reference_caches(self, small_l2_llc, ops):
+        params = _hierarchy_params(small_l2_llc)
         hierarchy = MemoryHierarchy(params)
         reference = ReferenceHierarchy(params)
         for step, op in enumerate(ops):
@@ -215,6 +220,9 @@ class TestCacheEquivalence:
                 _, paddr, instruction = op
                 got = hierarchy.access(paddr, instruction)
                 assert got == reference.access(paddr, instruction), (step, op)
+            elif op[0] == "flush":
+                hierarchy.flush(op[1])
+                reference.flush(op[1])
             else:
                 _, paddr, instruction, stride, count = op
                 got = hierarchy.access_run(paddr, stride, count, instruction)
@@ -226,7 +234,7 @@ class TestCacheEquivalence:
             assert cache.stats["hit"] == model.hits, name
             assert cache.stats["miss"] == model.misses, name
             assert cache.stats["eviction"] == model.evictions, name
-            # Set by set, MRU first.
+            # Set by set, MRU first (an unfilled or flushed set is a tuple).
             assert [list(s) for s in cache._sets] == [list(reversed(s)) for s in model.sets], name
 
     def test_hierarchy_build_tracks_few_objects(self):
@@ -242,37 +250,6 @@ class TestCacheEquivalence:
             gc.enable()
         assert hierarchy.llc.num_sets == 8192
         assert added < 200, added
-
-
-class TestStatPurity:
-    def test_probe_without_lru_update_leaves_stats_untouched(self):
-        cache = Cache(CacheParams("t", 1024, ways=2, line_bytes=64))
-        cache.insert(0x1000)
-        baseline = cache.stats.snapshot()
-        for paddr in (0x1000, 0x2000, 0x3000):
-            cache.probe(paddr, update_lru=False)
-        assert cache.stats.snapshot() == baseline
-
-    def test_peek_latency_does_not_pollute_stats(self):
-        hierarchy = MemoryHierarchy(rocket())
-        for i in range(32):
-            hierarchy.access(0x8000_0000 + i * 64)
-        before = {
-            "hier": hierarchy.stats.snapshot(),
-            "l1d": hierarchy.l1d.stats.snapshot(),
-            "l2": hierarchy.l2.stats.snapshot(),
-            "llc": hierarchy.llc.stats.snapshot(),
-        }
-        for i in range(64):
-            hierarchy.peek_latency(0x8000_0000 + i * 64)
-            hierarchy.peek_latency(0x8000_0000 + i * 64, instruction=True)
-        after = {
-            "hier": hierarchy.stats.snapshot(),
-            "l1d": hierarchy.l1d.stats.snapshot(),
-            "l2": hierarchy.l2.stats.snapshot(),
-            "llc": hierarchy.llc.stats.snapshot(),
-        }
-        assert before == after
 
 
 class TestDeferredStats:
@@ -414,16 +391,11 @@ class ReferenceAllocator:
         self._allocated.discard(frame)
         self._free.append(frame)
 
-    def reserve(self, base, size):
-        wanted = set(range(base, base + size, PAGE_SIZE))
-        self._free = [f for f in self._free if f not in wanted]
-        self._allocated |= wanted
-
 
 class TestAllocatorEquivalence:
     """The indexed FrameAllocator hands out the exact same frame sequence as
     the rebuild-every-call reference, under interleaved alloc / scattered /
-    contiguous / reserve / free streams on both fresh and fragmented pools."""
+    contiguous / free streams on both fresh and fragmented pools."""
 
     @pytest.mark.parametrize("scatter", [False, True])
     @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -435,8 +407,8 @@ class TestAllocatorEquivalence:
         live = []
         for step in range(1200):
             op = rng.choices(
-                ["alloc", "scattered", "contiguous", "reserve", "free"],
-                weights=[30, 20, 15, 10, 25],
+                ["alloc", "scattered", "contiguous", "free"],
+                weights=[30, 20, 15, 25],
             )[0]
             try:
                 if op == "alloc":
@@ -453,14 +425,6 @@ class TestAllocatorEquivalence:
                     got = fast.alloc_contiguous(frames, align_frames=align)
                     assert got == reference.alloc_contiguous(frames, align_frames=align), step
                     live.append((got, frames))
-                elif op == "reserve":
-                    # The reference does not check that the range is free, so
-                    # the fast allocator goes first and a refusal skips both.
-                    frames = rng.choice([1, 2, 4])
-                    base = region.base + rng.randrange(512 - frames + 1) * PAGE_SIZE
-                    fast.reserve(base, frames * PAGE_SIZE)
-                    reference.reserve(base, frames * PAGE_SIZE)
-                    live.append((base, frames))
                 elif live:
                     base, frames = live.pop(rng.randrange(len(live)))
                     for i in range(frames):
@@ -537,7 +501,8 @@ class TestAllocatorEquivalence:
     def test_reserve_then_exhaust(self):
         region = MemRegion(0x8000_0000, 16 * PAGE_SIZE)
         alloc = FrameAllocator(region)
-        alloc.reserve(region.base, 8 * PAGE_SIZE)
+        # Fence off the lower half as one run.
+        assert alloc.alloc_contiguous(8) == region.base
         with pytest.raises(MemoryError_):
             alloc.alloc_contiguous(9)
         assert alloc.alloc_contiguous(8) == region.base + 8 * PAGE_SIZE

@@ -91,11 +91,6 @@ class TestRegisterFile:
         rf.clear_entry(0)
         assert rf.match(0x8000_0000) is None
 
-    def test_config_byte_roundtrip(self):
-        entry = PMPEntry(perm=Permission.rx(), match=AddrMatch.NAPOT, locked=True, table=True, addr=99)
-        decoded = PMPEntry.from_config_byte(entry.config_byte, addr=99)
-        assert decoded == entry
-
     def test_active_entries(self):
         rf = PMPRegisterFile()
         rf.set_entry(3, PMPEntry(perm=Permission.rw(), match=AddrMatch.NA4, addr=1))

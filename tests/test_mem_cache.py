@@ -12,64 +12,72 @@ from repro.mem.cache import Cache
 from repro.mem.hierarchy import MemoryHierarchy
 
 
-def small_cache(size=1024, ways=2, line=64, latency=2):
-    return Cache(CacheParams("test", size, ways=ways, line_bytes=line, hit_latency=latency))
+def small_hierarchy(size=1024, ways=2, latency=2):
+    """Rocket's hierarchy with a small L1D: the cache level under test."""
+    return MemoryHierarchy(rocket().with_(l1d=CacheParams("test", size, ways=ways, hit_latency=latency)))
+
+
+def resident(cache, paddr):
+    """Whether the line holding *paddr* is in *cache*; changes nothing."""
+    shifted = paddr >> cache._line_shift
+    return shifted << cache._line_shift in cache._sets[shifted & cache._set_mask]
+
+
+def resident_lines(cache):
+    return sum(len(s) for s in cache._sets)
 
 
 class TestCache:
+    """One level's sets, LRU order and counters, driven through the
+    hierarchy's L1D (``MemoryHierarchy.access`` is the only lookup)."""
+
     def test_miss_then_hit(self):
-        cache = small_cache()
-        assert not cache.probe(0x1000)
-        cache.insert(0x1000)
-        assert cache.probe(0x1000)
+        h = small_hierarchy()
+        assert not resident(h.l1d, 0x1000)
+        h.access(0x1000)
+        assert resident(h.l1d, 0x1000)
+        assert h.access(0x1000) == 2  # the L1 hit latency
 
     def test_same_line_hits(self):
-        cache = small_cache()
-        cache.insert(0x1000)
-        assert cache.probe(0x1038)  # same 64B line
+        h = small_hierarchy()
+        h.access(0x1000)
+        assert h.access(0x1038) == 2  # same 64B line
 
     def test_different_line_misses(self):
-        cache = small_cache()
-        cache.insert(0x1000)
-        assert not cache.probe(0x1040)
+        h = small_hierarchy()
+        h.access(0x1000)
+        assert not resident(h.l1d, 0x1040)
+        assert h.access(0x1040) > 2
 
     def test_lru_eviction_order(self):
-        cache = small_cache(size=256, ways=2)  # 2 sets of 2 ways
-        sets = cache.num_sets
+        h = small_hierarchy(size=256, ways=2)  # 2 sets of 2 ways
+        sets = h.l1d.num_sets
         a, b, c = (0x0, sets * 64, 2 * sets * 64)  # all map to set 0
-        cache.insert(a)
-        cache.insert(b)
-        cache.probe(a)  # a becomes MRU
-        victim = cache.insert(c)
-        assert victim == b
+        for paddr in (a, b, a, c):  # a becomes MRU before c fills the set
+            h.access(paddr)
+        assert resident(h.l1d, a) and resident(h.l1d, c)
+        assert not resident(h.l1d, b)
+        assert h.l1d.stats["eviction"] == 1
 
     def test_eviction_only_within_set(self):
-        cache = small_cache(size=256, ways=2)
-        cache.insert(0x0)
-        cache.insert(64)  # different set
-        assert cache.resident_lines() == 2
-
-    def test_invalidate(self):
-        cache = small_cache()
-        cache.insert(0x1000)
-        assert cache.invalidate(0x1000)
-        assert not cache.probe(0x1000)
-        assert not cache.invalidate(0x1000)
+        h = small_hierarchy(size=256, ways=2)
+        h.access(0x0)
+        h.access(64)  # different set
+        assert resident_lines(h.l1d) == 2
 
     def test_flush(self):
-        cache = small_cache()
+        h = small_hierarchy()
         for i in range(8):
-            cache.insert(i * 64)
-        cache.flush()
-        assert cache.resident_lines() == 0
+            h.access(i * 64)
+        h.l1d.flush()
+        assert resident_lines(h.l1d) == 0
 
     def test_stats(self):
-        cache = small_cache()
-        cache.probe(0)
-        cache.insert(0)
-        cache.probe(0)
-        assert cache.stats["miss"] == 1
-        assert cache.stats["hit"] == 1
+        h = small_hierarchy()
+        h.access(0)
+        h.access(0)
+        assert h.l1d.stats["miss"] == 1
+        assert h.l1d.stats["hit"] == 1
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -78,11 +86,10 @@ class TestCache:
     @settings(max_examples=25)
     @given(st.lists(st.integers(0, 2**20), min_size=1, max_size=200))
     def test_occupancy_bounded_by_capacity(self, addrs):
-        cache = small_cache(size=512, ways=2)
+        h = small_hierarchy(size=512, ways=2)
         for addr in addrs:
-            cache.insert(addr)
-        max_lines = cache.num_sets * cache.params.ways
-        assert cache.resident_lines() <= max_lines
+            h.access(addr)
+        assert resident_lines(h.l1d) <= h.l1d.num_sets * h.l1d.params.ways
 
 
 class TestMemoryHierarchy:
@@ -112,18 +119,6 @@ class TestMemoryHierarchy:
             h.access(base + i * l1_span)
         latency = h.access(base)
         assert latency == p.l1d.hit_latency + p.l2.hit_latency
-
-    def test_peek_does_not_disturb_state(self):
-        h = MemoryHierarchy(rocket())
-        lat1 = h.peek_latency(0x8000_0000)
-        lat2 = h.access(0x8000_0000)
-        assert lat1 == lat2  # peek did not install the line
-
-    def test_warm_installs_everywhere(self):
-        p = rocket()
-        h = MemoryHierarchy(p)
-        h.warm(0x8000_0000)
-        assert h.access(0x8000_0000) == p.l1d.hit_latency
 
     def test_flush_selective(self):
         p = rocket()

@@ -226,17 +226,6 @@ class TestFrameAllocator:
         # All 16 frames must now be allocated.
         assert all(alloc.owns(base + i * PAGE_SIZE) for i in range(16))
 
-    def test_reserve_removes_frames(self):
-        alloc = FrameAllocator(self.region())
-        alloc.reserve(BASE, 4 * PAGE_SIZE)
-        assert alloc.alloc() == BASE + 4 * PAGE_SIZE
-
-    def test_reserve_conflicts_rejected(self):
-        alloc = FrameAllocator(self.region())
-        frame = alloc.alloc()
-        with pytest.raises(MemoryError_):
-            alloc.reserve(frame, PAGE_SIZE)
-
     def test_owns_outside_region(self):
         alloc = FrameAllocator(self.region())
         assert alloc.owns(BASE - PAGE_SIZE) is None

@@ -69,10 +69,6 @@ class ReferenceTLB:
         self.l1 = [(k, e) for k, e in self.l1 if not doomed(k)]
         self.l2 = [None if s is not None and doomed(s[0]) else s for s in self.l2]
 
-    def drop_inlined_permissions(self):
-        for _k, entry in self.l1 + [s for s in self.l2 if s is not None]:
-            entry.checker_perm = None
-
 
 def _state(tlb):
     l1 = [(key, entry) for level, key, entry in tlb.resident_entries() if level == "l1"]
@@ -89,8 +85,8 @@ class TestTLBAgainstModel:
         perms = [None, Permission.rw(), Permission(r=True)]
         for step in range(3000):
             op = rng.choices(
-                ["lookup", "fill", "flush_asid", "flush_all", "flush_page", "drop"],
-                weights=[50, 30, 3, 1, 6, 2],
+                ["lookup", "fill", "flush_asid", "flush_all", "flush_page"],
+                weights=[50, 30, 3, 1, 6],
             )[0]
             asid = rng.randrange(3)
             vpn = rng.randrange(40)
@@ -109,13 +105,10 @@ class TestTLBAgainstModel:
             elif op == "flush_all":
                 tlb.flush()
                 model.drop_where(lambda key: True)
-            elif op == "flush_page":
+            else:
                 only = rng.choice([None, asid])
                 tlb.flush_page(va, only)
                 model.drop_where(lambda key: key[1] == vpn and only in (None, key[0]))
-            else:
-                tlb.drop_inlined_permissions()
-                model.drop_inlined_permissions()
             l1, l2 = _state(tlb)
             assert l1 == model.l1, step  # same entries, same LRU order
             assert l2 == {s[0]: s[1] for s in model.l2 if s is not None}, step

@@ -136,19 +136,6 @@ class TestPageTable:
         for i in range(16):
             assert pt.walk(0x4000_0000 + i * PAGE_SIZE).paddr == BASE + 32 * MIB + i * PAGE_SIZE
 
-    def test_mapped_vas_enumeration(self, env):
-        pt = make_pt(env)
-        vas = [0x4000_0000, 0x4000_1000, 0x8000_0000]
-        for i, va in enumerate(vas):
-            pt.map_page(va, BASE + (32 + i) * MIB)
-        assert sorted(pt.mapped_vas()) == sorted(vas)
-
-    def test_pt_region_bounds_cover_all_pages(self, env):
-        pt = make_pt(env)
-        pt.map_page(0x4000_0000, BASE + 32 * MIB)
-        low, high = pt.pt_region_bounds()
-        assert all(low <= p < high for p in pt.pt_pages)
-
     def test_user_bit(self, env):
         pt = make_pt(env)
         pt.map_page(0x4000_0000, BASE + 32 * MIB, user=False)

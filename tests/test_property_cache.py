@@ -1,13 +1,17 @@
-"""Property tests for the cache model against reference implementations."""
+"""Property tests for the cache model against reference implementations.
+
+A cache level is driven as the L1D of a rocket hierarchy, since
+``MemoryHierarchy.access`` is a level's only lookup.  The set-by-set
+comparison against composed reference caches lives in
+``test_hotpath_flatten.py`` (``TestCacheEquivalence``).
+"""
 
 from collections import OrderedDict
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.params import CacheParams, rocket
-from repro.mem.cache import Cache
 from repro.mem.hierarchy import MemoryHierarchy
 
 
@@ -25,6 +29,9 @@ class ReferenceLRUCache:
 
     def _tag(self, addr):
         return addr // self.line
+
+    def contains(self, addr) -> bool:
+        return self._tag(addr) in self.state[self._set(addr)]
 
     def probe(self, addr) -> bool:
         cset = self.state[self._set(addr)]
@@ -45,6 +52,18 @@ class ReferenceLRUCache:
         cset[tag] = None
 
 
+def l1d_hierarchy(size, ways):
+    """Rocket's hierarchy with a *size*-byte, *ways*-way L1D."""
+    base = rocket()
+    return MemoryHierarchy(base.with_(l1d=CacheParams("t", size, ways=ways, hit_latency=base.l1d.hit_latency)))
+
+
+def resident(cache, addr) -> bool:
+    """Whether the line holding *addr* is in *cache*; changes nothing."""
+    shifted = addr >> cache._line_shift
+    return shifted << cache._line_shift in cache._sets[shifted & cache._set_mask]
+
+
 ops_strategy = st.lists(
     st.tuples(st.sampled_from(["access", "probe_only"]), st.integers(0, 1 << 16)),
     min_size=1,
@@ -56,25 +75,32 @@ class TestCacheVsReference:
     @settings(max_examples=40, deadline=None)
     @given(ops_strategy)
     def test_hit_miss_sequence_matches(self, operations):
-        cache = Cache(CacheParams("t", 2048, ways=2, line_bytes=64))
+        hierarchy = l1d_hierarchy(2048, ways=2)
+        cache = hierarchy.l1d
         reference = ReferenceLRUCache(cache.num_sets, 2)
         for op, addr in operations:
-            expected = reference.probe(addr)
-            got = cache.probe(addr)
-            assert got == expected, (op, hex(addr))
             if op == "access":
+                expected = reference.probe(addr)
                 reference.insert(addr)
-                cache.insert(addr)
+                got = hierarchy.access(addr) == cache.params.hit_latency
+            else:
+                expected = reference.contains(addr)
+                got = resident(cache, addr)
+            assert got == expected, (op, hex(addr))
+        # The same lines stay resident, so every victim matched too.
+        lines = sorted(tag * reference.line for cset in reference.state for tag in cset)
+        assert sorted(line for cset in cache._sets for line in cset) == lines
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(0, 1 << 18), min_size=1, max_size=200))
     def test_occupancy_matches(self, addrs):
-        cache = Cache(CacheParams("t", 4096, ways=4, line_bytes=64))
+        hierarchy = l1d_hierarchy(4096, ways=4)
+        cache = hierarchy.l1d
         reference = ReferenceLRUCache(cache.num_sets, 4)
         for addr in addrs:
-            cache.insert(addr)
+            hierarchy.access(addr)
             reference.insert(addr)
-        assert cache.resident_lines() == sum(len(s) for s in reference.state)
+        assert sum(len(s) for s in cache._sets) == sum(len(s) for s in reference.state)
 
 
 class TestHierarchyInvariants:
@@ -92,25 +118,6 @@ class TestHierarchyInvariants:
             latency = hierarchy.access(addr)
             assert params.l1d.hit_latency <= latency <= full_miss
             assert hierarchy.access(addr) == params.l1d.hit_latency
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(st.integers(0, 1 << 22).map(lambda x: 0x8000_0000 + x), min_size=1, max_size=100))
-    def test_peek_never_mutates(self, addrs):
-        hierarchy = MemoryHierarchy(rocket())
-        for addr in addrs[: len(addrs) // 2]:
-            hierarchy.access(addr)
-        resident_before = (
-            hierarchy.l1d.resident_lines(),
-            hierarchy.l2.resident_lines(),
-            hierarchy.llc.resident_lines(),
-        )
-        for addr in addrs:
-            hierarchy.peek_latency(addr)
-        assert resident_before == (
-            hierarchy.l1d.resident_lines(),
-            hierarchy.l2.resident_lines(),
-            hierarchy.llc.resident_lines(),
-        )
 
     def test_dram_count_never_exceeds_refs(self):
         hierarchy = MemoryHierarchy(rocket())

@@ -15,7 +15,6 @@ from repro.soc.hwcost import (
     IPI_DELIVERY_CYCLES,
     MONITOR_LOCK_ACQUIRE_CYCLES,
     lock_queue_delay,
-    smp_additions,
 )
 from repro.soc.system import System
 from repro.tee.monitor import HOST_DOMAIN_ID, SecureMonitor
@@ -242,8 +241,3 @@ class TestHwcostSmp:
         assert lock_queue_delay(0, 100) == 100
         assert lock_queue_delay(100, 100) == 0
         assert lock_queue_delay(150, 100) == 0
-
-    def test_smp_additions_are_small(self):
-        modules = smp_additions(8)
-        assert {m.name for m in modules} == {"monitor_lock", "ipi_fabric", "shootdown_ack"}
-        assert sum(m.state_bits for m in modules) < 1024  # rounding error vs caches

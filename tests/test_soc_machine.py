@@ -93,7 +93,7 @@ class TestAccessPath:
         space.map(VA, PAGE_SIZE, Permission.rx())
         sys_pmp.machine.cold_boot()
         sys_pmp.access(space, VA, AccessType.FETCH)
-        assert sys_pmp.machine.hierarchy.l1i.resident_lines() > 0
+        assert any(sys_pmp.machine.hierarchy.l1i._sets)  # some L1I set holds a line
 
     def test_write_mlp_not_applied_on_boom(self):
         """Store checks stay on the critical path on the OoO core."""

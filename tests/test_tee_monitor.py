@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import AccessFault, ConfigurationError, MonitorError, OutOfResources
 from repro.common.types import KIB, MIB, AccessType, MemRegion, Permission, PrivilegeMode
 from repro.soc.system import System
-from repro.tee.gms import GMS, coalesce
+from repro.tee.gms import GMS
 from repro.tee.monitor import HOST_DOMAIN_ID, SecureMonitor
 
 S = PrivilegeMode.SUPERVISOR
@@ -27,19 +27,6 @@ class TestGMS:
         assert gms.fast
         with pytest.raises(ConfigurationError):
             gms.relabel("lukewarm")
-
-    def test_coalesce_merges_adjacent(self):
-        a = GMS(MemRegion(0, 4096), Permission.rw(), "fast", owner_domain=1)
-        b = GMS(MemRegion(4096, 4096), Permission.rw(), "fast", owner_domain=1)
-        c = GMS(MemRegion(16384, 4096), Permission.rw(), "fast", owner_domain=1)
-        merged = list(coalesce([c, b, a]))
-        assert len(merged) == 2
-        assert merged[0].region == MemRegion(0, 8192)
-
-    def test_coalesce_respects_permission_boundaries(self):
-        a = GMS(MemRegion(0, 4096), Permission.rw())
-        b = GMS(MemRegion(4096, 4096), Permission.rx())
-        assert len(list(coalesce([a, b]))) == 2
 
 
 class TestLifecycle:

@@ -130,8 +130,9 @@ class TestScheduler:
 
 
 class TestSchedulerChurn:
-    """Tenant-churn safety: retire/reap under a live schedule (the cloud
-    node's teardown path) plus mid-run queue growth."""
+    """Tenant-churn safety: retiring (a task marked done) and reaping under
+    a live schedule (the cloud node's teardown path) plus mid-run queue
+    growth."""
 
     def test_retire_mid_quantum_stops_the_victim(self):
         _, _, scheduler, domains = make_node(num_domains=2)
@@ -143,7 +144,7 @@ class TestSchedulerChurn:
             if fired[0]:
                 return 0
             fired[0] = True
-            assert scheduler.retire(victim) == 1
+            victim_task.done = True
             return 10
 
         scheduler.add(domains[0].domain_id, killer)
@@ -156,21 +157,23 @@ class TestSchedulerChurn:
     def test_retire_is_idempotent_and_scoped(self):
         _, _, scheduler, domains = make_node(num_domains=2)
         a, b = domains[0].domain_id, domains[1].domain_id
-        scheduler.add(a, counting_work(2))
-        scheduler.add(a, counting_work(2))
+        retired = [scheduler.add(a, counting_work(2)), scheduler.add(a, counting_work(2))]
         survivor = scheduler.add(b, counting_work(1))
-        assert scheduler.retire(a) == 2  # both of a's tasks, nobody else's
-        assert scheduler.retire(a) == 0  # idempotent
+        for task in retired:
+            task.done = True
+        assert scheduler.reap() == retired  # both of a's tasks, nobody else's
+        assert scheduler.reap() == []  # idempotent
         assert not survivor.done
         scheduler.run()
         assert survivor.done
+        assert all(task.quanta == 0 for task in retired)
 
     def test_reap_drops_done_and_preserves_live_order(self):
         _, _, scheduler, domains = make_node(num_domains=3)
         first = scheduler.add(domains[0].domain_id, counting_work(1), "first")
         mid = scheduler.add(domains[1].domain_id, counting_work(1), "mid")
         last = scheduler.add(domains[2].domain_id, counting_work(1), "last")
-        scheduler.retire(mid.domain_id)
+        mid.done = True
         assert scheduler.reap() == [mid]
         assert scheduler.reap() == []  # nothing left to collect
         assert [t.name for t in scheduler._tasks] == ["first", "last"]

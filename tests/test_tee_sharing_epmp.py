@@ -1,11 +1,9 @@
-"""Tests for inter-enclave shared regions and ePMP-sized register files."""
+"""Tests for ePMP-sized (64-entry) register files under the secure monitor."""
 
-import pytest
-
-from repro.common.errors import AccessFault, OutOfResources
-from repro.common.types import KIB, AccessType, Permission, PrivilegeMode
+from repro.common.errors import OutOfResources
+from repro.common.types import KIB, AccessType, PrivilegeMode
 from repro.soc.system import System
-from repro.tee.monitor import HOST_DOMAIN_ID, SecureMonitor
+from repro.tee.monitor import SecureMonitor
 
 S = PrivilegeMode.SUPERVISOR
 
@@ -13,50 +11,6 @@ S = PrivilegeMode.SUPERVISOR
 def make(scheme, pmp_entries=16, mem_mib=256):
     system = System(machine="rocket", checker_kind=scheme, mem_mib=mem_mib, pmp_entries=pmp_entries)
     return system, SecureMonitor(system)
-
-
-class TestSharedRegions:
-    @pytest.mark.parametrize("scheme", ["pmp", "pmpt", "hpmp"])
-    def test_members_can_access(self, scheme):
-        system, monitor = make(scheme)
-        d1 = monitor.create_domain("a")
-        d2 = monitor.create_domain("b")
-        gms, cycles = monitor.grant_shared_region([d1.domain_id, d2.domain_id], 64 * KIB)
-        assert cycles > 0
-        for member in (d1, d2):
-            monitor.switch_to(member.domain_id)
-            cost = system.checker.check(gms.region.base, AccessType.READ, S)
-            assert cost.perm.r
-
-    @pytest.mark.parametrize("scheme", ["pmpt", "hpmp"])
-    def test_non_members_blocked(self, scheme):
-        system, monitor = make(scheme)
-        d1 = monitor.create_domain("a")
-        d2 = monitor.create_domain("b")
-        outsider = monitor.create_domain("c")
-        gms, _ = monitor.grant_shared_region([d1.domain_id, d2.domain_id], 64 * KIB)
-        monitor.switch_to(outsider.domain_id)
-        with pytest.raises(AccessFault):
-            system.checker.check(gms.region.base, AccessType.READ, S)
-        monitor.switch_to(HOST_DOMAIN_ID)
-        with pytest.raises(AccessFault):
-            system.checker.check(gms.region.base, AccessType.READ, S)
-
-    def test_shared_permission_respected(self):
-        system, monitor = make("hpmp")
-        d1 = monitor.create_domain("a")
-        gms, _ = monitor.grant_shared_region([d1.domain_id], 64 * KIB, Permission(r=True))
-        monitor.switch_to(d1.domain_id)
-        system.checker.check(gms.region.base, AccessType.READ, S)
-        with pytest.raises(AccessFault):
-            system.checker.check(gms.region.base, AccessType.WRITE, S)
-
-    def test_empty_member_list_rejected(self):
-        _, monitor = make("hpmp")
-        from repro.common.errors import MonitorError
-
-        with pytest.raises(MonitorError):
-            monitor.grant_shared_region([], 64 * KIB)
 
 
 class TestEPMP:

@@ -207,7 +207,8 @@ class TestSnapshotInvalidation:
             space.map(VA, PAGE_SIZE, Permission.rw())
             first = run_spans(system.machine, space, writes, mode)
             system.setup.table.set_page_perm(space.pa_of(VA), Permission(r=True))
-            system.machine.tlb.drop_inlined_permissions()
+            for _level, _key, entry in system.machine.tlb.resident_entries():
+                entry.checker_perm = None
             with pytest.raises(AccessFault):
                 run_spans(system.machine, space, writes, mode)
             results[mode] = (first, state(system))

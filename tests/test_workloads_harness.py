@@ -51,8 +51,8 @@ class TestArrayMap:
         assert arrays.cycles == 100
 
     def test_frames_source(self, system):
-        region = MemRegion(system.data_region.base, 64 * PAGE_SIZE)
-        system.data_frames.reserve(region.base, region.size)
+        # Fence 64 frames off the system's data pool, then allocate only from them.
+        region = MemRegion(system.data_frames.alloc_contiguous(64), 64 * PAGE_SIZE)
         frames = FrameAllocator(region)
         arrays = ArrayMap(system, frames=frames)
         arrays.add("a", 100)
