@@ -9,7 +9,7 @@ deliberately scattered order, which is how the fragmentation experiments
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..common.errors import MemoryError_
 from ..common.stats import Histogram
@@ -17,54 +17,49 @@ from ..common.types import PAGE_SIZE, MemRegion
 
 
 class _LiveIndex:
-    """Fenwick tree over free-list slots: 1 = live frame, 0 = tombstone.
+    """Fenwick tree over free-list slots: 0 = tombstone, 1 = any other slot.
 
     Lets the allocator answer "which slot holds the k-th live frame?" in
     O(log n) without compacting the list first — the order-statistics query
-    behind :meth:`FrameAllocator.alloc_scattered`.  It is a pure function of
-    the free list, so the allocator builds it only when a scattered draw
-    first finds tombstones and drops it when it compacts.  Capacity grows by
-    doubling when the list does; rebuilds are O(n) and amortized away.
+    behind :meth:`FrameAllocator.alloc_scattered`.  Slots past the end of
+    the list count as live: every live frame of the list comes before them,
+    so they never move a select.  The tree therefore starts as the closed
+    form of an all-live tree (node ``i`` covers ``i & -i`` slots) and keeps
+    only what tombstones changed, as per-node deltas: building it costs
+    O(tombstones · log n) and reads no slot.  *size* is a power of two above
+    every slot the list can reach, so the tree never grows.
     """
 
-    __slots__ = ("size", "tree")
+    __slots__ = ("size", "delta")
 
-    def __init__(self, flags: List[int]):
-        self.rebuild(flags)
-
-    def rebuild(self, flags: List[int], capacity: int = 0) -> None:
-        """Rebuild over *flags* (index = slot, value = 1 if live)."""
-        size = max(len(flags), capacity, 1)
-        tree = [0] * (size + 1)
-        tree[1 : len(flags) + 1] = flags
-        for i in range(1, size + 1):
-            j = i + (i & -i)
-            if j <= size:
-                tree[j] += tree[i]
+    def __init__(self, size: int, tombstones: Iterable[int]):
         self.size = size
-        self.tree = tree
+        self.delta: Dict[int, int] = {}
+        for slot in tombstones:
+            self.add(slot, -1)
 
-    def add(self, index: int, delta: int) -> None:
-        tree = self.tree
-        i = index + 1
+    def add(self, slot: int, change: int) -> None:
+        delta = self.delta
         size = self.size
+        i = slot + 1
         while i <= size:
-            tree[i] += delta
+            delta[i] = delta.get(i, 0) + change
             i += i & -i
 
     def select(self, k: int) -> int:
         """Slot of the k-th (0-based) live frame in list order."""
-        tree = self.tree
+        delta = self.delta
         pos = 0
         remaining = k + 1
-        bit = 1 << (self.size.bit_length() - 1)
+        bit = self.size
         while bit:
-            nxt = pos + bit
-            if nxt <= self.size and tree[nxt] < remaining:
-                pos = nxt
-                remaining -= tree[nxt]
+            # pos has no bit at or below `bit`, so node pos + bit covers `bit` slots.
+            count = bit + delta.get(pos + bit, 0)
+            if count < remaining:
+                pos += bit
+                remaining -= count
             bit >>= 1
-        return pos  # 0-based slot (pos is 1-based minus the +1 offset)
+        return pos
 
 
 class FrameAllocator:
@@ -85,23 +80,45 @@ class FrameAllocator:
         if region.base % PAGE_SIZE or region.size % PAGE_SIZE:
             raise MemoryError_(f"allocator region {region} not page aligned")
         self.region = region
-        self._free: List[Optional[int]] = list(range(region.base, region.end, PAGE_SIZE))
-        if scatter:
-            random.Random(seed).shuffle(self._free)
-        self._free.reverse()  # pop() then yields ascending (or shuffled) order
-        # The free list is the source of truth for *order* (pop / scattered
-        # draws); the position index makes membership and mid-list removal
-        # O(1).  Removals tombstone their slot with None instead of rebuilding
-        # the list; tombstones are skipped on pop, and the Fenwick live index
+        self._frames = region.size // PAGE_SIZE
+        # The free list is a sequence of slots, popped from the end; it is
+        # the source of truth for *order* (pop / scattered draws).  Removals
+        # mid-list tombstone their slot with None instead of rebuilding the
+        # list; tombstones are skipped on pop, and the Fenwick live index
         # answers the order-statistics query alloc_scattered needs ("slot of
         # the k-th live frame") without compacting first.  Both preserve the
-        # exact live order — and therefore the exact allocation sequence — of
-        # the compact-before-every-draw implementation this replaces.  The
-        # live index exists only from the first scattered draw over
+        # exact live order, and therefore the exact allocation sequence, of
+        # the compact-before-every-draw implementation this replaces.
+        #
+        # The list is stored in two parts, so that an unscattered allocator
+        # costs nothing until it is used:
+        # * the head, slots [0, _split): slot s holds its *home* frame
+        #   _top - s * PAGE_SIZE (so pops yield ascending frames) unless
+        #   _over records what overwrote it (a frame or a tombstone);
+        # * the tail, slots from _split on, a real list: freed frames are
+        #   appended to it, a scattered allocator keeps its whole seeded
+        #   shuffle in it (its head is empty), and a compaction rebuilds
+        #   into it.
+        # _pos maps each free frame that is not in its home slot to its slot;
+        # every other free frame is in its home slot.  A frame is free iff it
+        # lies in the region and is not in _allocated.
+        self._top = region.end - PAGE_SIZE
+        self._over: Dict[int, Optional[int]] = {}
+        if scatter:
+            tail: List[Optional[int]] = list(range(region.base, region.end, PAGE_SIZE))
+            random.Random(seed).shuffle(tail)
+            tail.reverse()  # pop() then yields the shuffled order
+            self._split = 0
+            self._pos: Dict[int, int] = {frame: i for i, frame in enumerate(tail)}
+        else:
+            tail = []
+            self._split = self._frames
+            self._pos = {}
+        self._tail = tail
+        self._tombstones = 0
+        # The live index exists only from the first scattered draw over
         # tombstones until the next compaction (None otherwise): an
         # allocator that never makes such a draw never builds or updates it.
-        self._pos: Dict[int, int] = {frame: i for i, frame in enumerate(self._free)}
-        self._tombstones = 0
         self._live: Optional[_LiveIndex] = None
         # No free frame lies below the scan floor, so contiguous scans can
         # start there instead of at the region base.  Only free() lowers it.
@@ -111,32 +128,77 @@ class FrameAllocator:
 
     @property
     def free_frames(self) -> int:
-        return len(self._pos)
+        return self._frames - len(self._allocated)
 
     @property
     def allocated_frames(self) -> int:
         return len(self._allocated)
 
+    def _slot(self, slot: int) -> Optional[int]:
+        """What free-list slot *slot* holds: a frame or a tombstone (None)."""
+        split = self._split
+        if slot >= split:
+            return self._tail[slot - split]
+        return self._over.get(slot, self._top - slot * PAGE_SIZE)
+
+    def _pop(self) -> Optional[int]:
+        """Remove the free list's last slot; return what it held."""
+        if self._tail:
+            return self._tail.pop()
+        self._split = slot = self._split - 1
+        return self._over.pop(slot, self._top - slot * PAGE_SIZE)
+
+    def _shed(self, slot: int) -> None:
+        """Account for the tombstone just popped from *slot*.  The slot is
+        past the end of the list now, which the live index counts as live."""
+        self._tombstones -= 1
+        if self._live is not None:
+            self._live.add(slot, 1)
+
     def _compact(self) -> None:
-        """Squeeze tombstones out of the free list (live order is preserved)."""
-        self._free = [frame for frame in self._free if frame is not None]
-        self._pos = {frame: i for i, frame in enumerate(self._free)}
+        """Squeeze tombstones out of the free list (live order is preserved).
+
+        Head slots below the first overwritten one still hold their home
+        frames, so they stay in the head; the rest is rebuilt into the tail.
+        """
+        over = self._over
+        split = self._split
+        start = min(over) if over else split
+        top = self._top
+        rest = [over.get(slot, top - slot * PAGE_SIZE) for slot in range(start, split)]
+        rest += self._tail
+        self._tail = tail = [frame for frame in rest if frame is not None]
+        self._split = start
+        self._over = {}
+        self._pos = {frame: start + i for i, frame in enumerate(tail)}
         self._tombstones = 0
         self._live = None
 
     def alloc(self) -> int:
         """Allocate one frame; returns its base PA."""
-        pop = self._free.pop
-        free = self._free
-        while free:
-            frame = pop()
+        # The hottest call: both parts are popped inline rather than through
+        # _pop, which keeps a pop no dearer than one from a plain list.
+        tail = self._tail
+        while tail:
+            frame = tail.pop()
             if frame is not None:
-                if self._live is not None:
-                    self._live.add(len(free), -1)
                 del self._pos[frame]
                 self._allocated.add(frame)
                 return frame
-            self._tombstones -= 1
+            self._shed(self._split + len(tail))
+        while self._split:
+            self._split = slot = self._split - 1
+            over = self._over
+            if over and slot in over:
+                frame = over.pop(slot)
+                if frame is None:
+                    self._shed(slot)
+                    continue
+                del self._pos[frame]
+            else:
+                frame = self._top - slot * PAGE_SIZE
+            self._allocated.add(frame)
+            return frame
         raise MemoryError_(f"frame allocator exhausted ({self.region})")
 
     def alloc_scattered(self) -> int:
@@ -154,32 +216,37 @@ class FrameAllocator:
         last *live* frame — so the live order (and every future draw and
         pop) matches the compacting implementation exactly.
         """
-        live_count = len(self._pos)
+        live_count = self._frames - len(self._allocated)
         if not live_count:
             raise MemoryError_(f"frame allocator exhausted ({self.region})")
-        free = self._free
         index = self._rng.randrange(live_count)
         if self._tombstones:
             if self._live is None:
-                self._live = _LiveIndex([1 if f is not None else 0 for f in free])
+                # The list never holds more than twice the region's frames:
+                # only alloc_contiguous makes tombstones, and it compacts once
+                # they fill half the list.
+                split = self._split
+                tombstones = [slot for slot, frame in self._over.items() if frame is None]
+                tombstones += [split + i for i, frame in enumerate(self._tail) if frame is None]
+                self._live = _LiveIndex(1 << (2 * self._frames).bit_length(), tombstones)
             slot = self._live.select(index)
         else:
             slot = index
-        frame = free[slot]
-        # Shed trailing tombstones so the swap source is the last live frame
-        # (their live flags are already clear; popping only shortens the list).
-        while free[-1] is None:
-            free.pop()
-            self._tombstones -= 1
-        last = len(free) - 1
-        moved = free[last]
-        if slot != last:
-            free[slot] = moved
+        frame = self._slot(slot)
+        # Pop the last live frame, shedding the tombstones after it, and move
+        # it into the drawn slot unless it is the drawn frame itself.
+        moved = self._pop()
+        while moved is None:
+            self._shed(self._split + len(self._tail))
+            moved = self._pop()
+        if moved != frame:
+            split = self._split
+            if slot >= split:
+                self._tail[slot - split] = moved
+            else:
+                self._over[slot] = moved
             self._pos[moved] = slot
-        free.pop()
-        if self._live is not None:
-            self._live.add(last, -1)
-        del self._pos[frame]
+        self._pos.pop(frame, None)
         self._allocated.add(frame)
         return frame
 
@@ -197,13 +264,13 @@ class FrameAllocator:
         if align_frames <= 0:
             raise MemoryError_("align_frames must be positive")
         step = align_frames * PAGE_SIZE
-        pos = self._pos
+        allocated = self._allocated
         # Advance the floor over frames that are (still) allocated; every
         # candidate base below the first free frame would fail on its first
         # frame anyway.
         floor = self._scan_floor
         region_end = self.region.end
-        while floor < region_end and floor not in pos:
+        while floor < region_end and floor in allocated:
             floor += PAGE_SIZE
         self._scan_floor = floor
         base = (floor + step - 1) // step * step
@@ -211,19 +278,28 @@ class FrameAllocator:
         while base <= limit:
             frame = base
             run_end = base + num_frames * PAGE_SIZE
-            while frame < run_end and frame in pos:
+            while frame < run_end and frame not in allocated:
                 frame += PAGE_SIZE
             if frame == run_end:
-                free = self._free
+                pos = self._pos
+                split = self._split
+                tail = self._tail
+                over = self._over
+                top = self._top
                 live = self._live
                 for taken in range(base, run_end, PAGE_SIZE):
-                    slot = pos.pop(taken)
-                    free[slot] = None
+                    slot = pos.pop(taken, None)
+                    if slot is None:  # a free frame missing from _pos is at home
+                        slot = (top - taken) // PAGE_SIZE
+                    if slot >= split:
+                        tail[slot - split] = None
+                    else:
+                        over[slot] = None
                     if live is not None:
                         live.add(slot, -1)
                 self._tombstones += num_frames
-                self._allocated.update(range(base, run_end, PAGE_SIZE))
-                if self._tombstones * 2 > len(free):
+                allocated.update(range(base, run_end, PAGE_SIZE))
+                if self._tombstones * 2 > split + len(tail):
                     self._compact()
                 return base
             # The run broke at `frame`: no base at or below it can work.
@@ -232,49 +308,39 @@ class FrameAllocator:
 
     def free(self, frame: int) -> None:
         """Return one frame to the pool."""
-        if frame not in self._allocated:
+        allocated = self._allocated
+        if frame not in allocated:
             raise MemoryError_(f"double free / foreign frame {frame:#x}")
-        self._allocated.discard(frame)
-        slot = len(self._free)
-        self._pos[frame] = slot
-        self._free.append(frame)
-        live = self._live
-        if live is not None:
-            if slot >= live.size:
-                live.rebuild([1 if f is not None else 0 for f in self._free], capacity=2 * (slot + 1))
-            else:
-                live.add(slot, 1)
+        allocated.discard(frame)
+        tail = self._tail
+        self._pos[frame] = self._split + len(tail)
+        tail.append(frame)
         if frame < self._scan_floor:
             self._scan_floor = frame
 
     def fragmentation(self) -> Dict[str, object]:
         """Free-span metrics of the pool's current state (lazy, read-only).
 
-        Walks the free frames in address order into maximal contiguous
-        spans and summarizes them: a span-length histogram, the
-        largest-contiguous gauge, and a fragmentation percentage (the share
-        of free memory *outside* the largest span — 0.0 when all free
-        memory is one run, approaching 100 as it shatters).  Pure
-        observation: neither the free-list order, the tombstones, nor the
-        scatter RNG is touched, so interleaving calls with allocations can
-        never perturb the allocation sequence.  Cost is O(free log free) —
-        meant for sync points, not the per-alloc hot path.
+        Reads the free frames in address order as maximal contiguous spans —
+        the gaps between the allocated frames — and summarizes them: a
+        span-length histogram, the largest-contiguous gauge, and a
+        fragmentation percentage (the share of free memory *outside* the
+        largest span — 0.0 when all free memory is one run, approaching 100
+        as it shatters).  Pure observation: neither the free-list order, the
+        tombstones, nor the scatter RNG is touched, so interleaving calls
+        with allocations can never perturb the allocation sequence.  Cost is
+        O(allocated log allocated) — meant for sync points, not the
+        per-alloc hot path.
         """
-        frames = sorted(self._pos)
         spans = Histogram("free_span_frames")
-        run = 0
-        prev = None
-        for frame in frames:
-            if prev is not None and frame == prev + PAGE_SIZE:
-                run += 1
-            else:
-                if run:
-                    spans.observe(run)
-                run = 1
-            prev = frame
-        if run:
-            spans.observe(run)
-        free = len(frames)
+        start = self.region.base
+        for frame in sorted(self._allocated):
+            if frame > start:
+                spans.observe((frame - start) // PAGE_SIZE)
+            start = frame + PAGE_SIZE
+        if self.region.end > start:
+            spans.observe((self.region.end - start) // PAGE_SIZE)
+        free = self.free_frames
         largest = spans.max or 0
         return {
             "free_frames": free,

@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import OrderedDict
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import MemoryError_
 from repro.common.params import CacheParams, rocket
-from repro.common.stats import StatGroup
+from repro.common.stats import Histogram, StatGroup
 from repro.common.types import PAGE_SIZE, AccessType, MemRegion, Permission, PrivilegeMode
 from repro.isolation.pmp import AddrMatch, PMPEntry, PMPRegisterFile, napot_addr
 from repro.mem.allocator import FrameAllocator
@@ -22,6 +23,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.runner.cli import bench_summary
 from repro.runner.manifest import CellRecord, RunManifest
 from repro.runner.store import ResultStore
+from repro.soc.system import System
 from repro.workloads.harness import stable_hash
 
 
@@ -347,8 +349,10 @@ class TestPMPMatchTable:
 
 
 class ReferenceAllocator:
-    """The pre-index FrameAllocator: rebuild-the-list semantics, kept as the
-    behavioural reference for the tombstone/position-index implementation."""
+    """The pre-index FrameAllocator: one eager list of every free frame,
+    rebuilt on every mid-list removal, and a free-span probe that sorts every
+    free frame.  Kept as the behavioural reference for the lazy,
+    tombstoning implementation."""
 
     def __init__(self, region, scatter=False, seed=0):
         self.region = region
@@ -363,12 +367,20 @@ class ReferenceAllocator:
     def free_frames(self):
         return len(self._free)
 
+    @property
+    def allocated_frames(self):
+        return len(self._allocated)
+
     def alloc(self):
+        if not self._free:
+            raise MemoryError_(f"frame allocator exhausted ({self.region})")
         frame = self._free.pop()
         self._allocated.add(frame)
         return frame
 
     def alloc_scattered(self):
+        if not self._free:
+            raise MemoryError_(f"frame allocator exhausted ({self.region})")
         index = self._rng.randrange(len(self._free))
         self._free[index], self._free[-1] = self._free[-1], self._free[index]
         frame = self._free.pop()
@@ -390,6 +402,57 @@ class ReferenceAllocator:
     def free(self, frame):
         self._allocated.discard(frame)
         self._free.append(frame)
+
+    def owns(self, frame):
+        if not self.region.contains(frame, PAGE_SIZE):
+            return None
+        return frame in self._allocated
+
+    def fragmentation(self):
+        frames = sorted(self._free)
+        spans = Histogram("free_span_frames")
+        run = 0
+        prev = None
+        for frame in frames:
+            if prev is not None and frame == prev + PAGE_SIZE:
+                run += 1
+            else:
+                if run:
+                    spans.observe(run)
+                run = 1
+            prev = frame
+        if run:
+            spans.observe(run)
+        free = len(frames)
+        largest = spans.max or 0
+        return {
+            "free_frames": free,
+            "allocated_frames": len(self._allocated),
+            "spans": spans.count,
+            "largest_free_frames": largest,
+            "frag_pct": round(100.0 * (1.0 - largest / free), 2) if free else 0.0,
+            "span_hist": spans.snapshot(),
+        }
+
+
+def _assert_same_state(fast, reference, probes, where):
+    """Both allocators agree on every observable: counts, ownership of
+    *probes* and the free-span metrics."""
+    frames = fast.region.size // PAGE_SIZE
+    assert fast.free_frames == reference.free_frames, where
+    assert fast.allocated_frames == reference.allocated_frames, where
+    assert fast.free_frames + fast.allocated_frames == frames, where
+    assert [fast.owns(p) for p in probes] == [reference.owns(p) for p in probes], where
+    assert fast.fragmentation() == reference.fragmentation(), where
+
+
+#: One allocator operation: (name, run length or held-frame pick, alignment pick).
+_ALLOC_OPS = st.one_of(
+    st.tuples(st.just("alloc"), st.just(0), st.just(0)),
+    st.tuples(st.just("alloc_scattered"), st.just(0), st.just(0)),
+    st.tuples(st.just("alloc_contiguous"), st.integers(1, 12), st.integers(0, 3)),
+    st.tuples(st.just("free"), st.integers(0, 1 << 16), st.just(0)),
+)
 
 
 class TestAllocatorEquivalence:
@@ -437,6 +500,88 @@ class TestAllocatorEquivalence:
         while reference.free_frames:
             assert fast.alloc() == reference.alloc()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        frames=st.integers(1, 96),
+        offset=st.integers(0, 7),
+        seed=st.integers(0, 1 << 16),
+        ops=st.lists(_ALLOC_OPS, min_size=40, max_size=160),
+    )
+    def test_random_operation_streams(self, frames, offset, seed, ops):
+        """Every operation stream gives the reference's frames, counts,
+        ownership and free spans after every step (``fragmentation`` runs
+        between every two operations), on an unscattered and on a scattered
+        allocator."""
+        region = MemRegion(0x8000_0000 + offset * PAGE_SIZE, frames * PAGE_SIZE)
+        probes = [
+            region.base - PAGE_SIZE,
+            region.base,
+            region.base + frames // 2 * PAGE_SIZE,
+            region.end - PAGE_SIZE,
+            region.end,
+        ]
+        for scatter in (False, True):
+            fast = FrameAllocator(region, scatter=scatter, seed=seed)
+            reference = ReferenceAllocator(region, scatter=scatter, seed=seed)
+            held = []
+            for step, (op, arg, align_pick) in enumerate(ops):
+                where = (scatter, step, op)
+                if op == "free":
+                    if held:
+                        frame = held.pop(arg % len(held))
+                        fast.free(frame)
+                        reference.free(frame)
+                else:
+                    args = (arg, (1, 2, 8, arg)[align_pick]) if op == "alloc_contiguous" else ()
+                    got = []
+                    for allocator in (fast, reference):
+                        try:
+                            got.append(getattr(allocator, op)(*args))
+                        except MemoryError_:
+                            got.append(None)
+                    assert got[0] == got[1], where
+                    if got[0] is not None:
+                        held.extend(got[0] + i * PAGE_SIZE for i in range(args[0] if args else 1))
+                _assert_same_state(fast, reference, probes, where)
+            while reference.free_frames:
+                assert fast.alloc() == reference.alloc(), scatter
+
+    def test_system_scale_contiguous_then_scattered(self):
+        """The shape of a pmpt GAPWorkload set-up on a 256 MiB System's
+        53,248-frame data region: a few dozen contiguous runs (some aligned
+        past free frames, so tombstones sit mid-list), then scattered draws,
+        the first of which builds the live index, mixed with frees."""
+        region = MemRegion(0x8300_0000, 53_248 * PAGE_SIZE)
+        fast = FrameAllocator(region)
+        reference = ReferenceAllocator(region)
+        rng = random.Random(32)
+        held = []
+        for step in range(36):
+            frames = rng.choice([1, 4, 16, 64, 512])
+            align = rng.choice([1, 1, frames, 512])
+            base = fast.alloc_contiguous(frames, align_frames=align)
+            assert base == reference.alloc_contiguous(frames, align_frames=align), step
+            held.extend(base + i * PAGE_SIZE for i in range(frames))
+            if rng.random() < 0.3:
+                frame = held.pop(rng.randrange(len(held)))
+                fast.free(frame)
+                reference.free(frame)
+        assert fast._tombstones and fast._live is None
+        for step in range(400):
+            if rng.random() < 0.25:
+                frame = held.pop(rng.randrange(len(held)))
+                fast.free(frame)
+                reference.free(frame)
+            else:
+                frame = fast.alloc_scattered()
+                assert frame == reference.alloc_scattered(), step
+                held.append(frame)
+        assert fast._live is not None
+        probes = [region.base - PAGE_SIZE, region.base, held[0], region.end - PAGE_SIZE, region.end]
+        _assert_same_state(fast, reference, probes, "after draws")
+        while reference.free_frames:
+            assert fast.alloc() == reference.alloc()
+
     @pytest.mark.parametrize("scatter", [False, True])
     def test_index_built_from_tombstones_and_again_after_compaction(self, scatter):
         """The live index is built on the first scattered draw that finds
@@ -469,7 +614,7 @@ class TestAllocatorEquivalence:
         for _ in range(30):
             held.append((both("alloc_scattered"), 1))
         assert fast._live is not None
-        free_some(20)  # frees update the index once it exists
+        free_some(20)  # frees append past the list's end, which the index counts as live
         # Contiguous runs until a compaction drops the index.
         while fast._live is not None:
             held.append((both("alloc_contiguous", 8), 8))
@@ -508,6 +653,33 @@ class TestAllocatorEquivalence:
         assert alloc.alloc_contiguous(8) == region.base + 8 * PAGE_SIZE
         with pytest.raises(MemoryError_):
             alloc.alloc()
+
+
+class TestAllocatorConstructionCost:
+    """Building an allocator, or a System with its three, costs memory in
+    proportion to what it uses, not to the frames of its regions.  Measured
+    as traced allocations, which a busy host does not change."""
+
+    @staticmethod
+    def _peak_bytes(build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_allocator_over_1gib_region(self):
+        region = MemRegion(0x8000_0000, 262_144 * PAGE_SIZE)
+        assert self._peak_bytes(lambda: FrameAllocator(region)) < 64 * 1024
+
+    def test_256mib_system(self):
+        def build():
+            return System(machine="rocket", checker_kind="pmpt", mem_mib=256)
+
+        build()  # loads whatever the constructor imports on first use
+        assert self._peak_bytes(build) < 1024 * 1024
 
 
 class TestStableHash:
